@@ -9,7 +9,6 @@ from the file alone. Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -22,6 +21,8 @@ from . import network as network_mod
 from . import train as train_mod
 from . import verify as verify_mod
 from .errors import ConfigError, DataError, NotInvertibleError, NumericError
+from .layers import build_residual_function
+from .momentum import REVERSIBLE, MomentumBlock
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -32,7 +33,10 @@ EXIT_NUMERIC = 4
 
 def _load_config(args) -> train_mod.TrainConfig:
     if args.config:
-        cfg = train_mod.TrainConfig.from_json(Path(args.config).read_text())
+        try:
+            cfg = train_mod.TrainConfig.from_json(Path(args.config).read_text())
+        except (OSError, ValueError, TypeError) as exc:
+            raise ConfigError(f"config {args.config}: {exc}") from exc
     elif args.preset == "segmentation":
         cfg = train_mod.segmentation_defaults()
     elif args.preset == "classification":
@@ -75,10 +79,8 @@ def cmd_eval(args) -> int:
         cfg.hd_variant = args.hd_variant
     if args.threshold is not None:
         cfg.eval_threshold = args.threshold
-    samples = train_mod.load_dataset(cfg)
-    by_id = {s.id: s for s in samples}
-    manifest = train_mod.data_mod.split([s.id for s in samples], cfg.split_seed)
-    subset = [by_id[i] for i in getattr(manifest, args.split)]
+    _, sets = train_mod.load_splits(cfg)
+    subset = sets[args.split]
     net = network_mod.build(cfg.descriptor(), seed=cfg.seed, dtype=cfg.np_dtype())
     net.load(Path(args.checkpoint))
     result = train_mod.evaluate_split(cfg, net, subset)
@@ -103,7 +105,8 @@ def cmd_verify(args) -> int:
     if args.mode == "reversible" and args.gamma == 0.0:
         # exercised precondition: the reversible sweep divides by gamma
         try:
-            verify_mod._make_chain(1, 0.0, "reversible", verify_mod._rng(0))
+            MomentumBlock(0.0, build_residual_function({"kind": "linear", "dim": 1}, None),
+                          REVERSIBLE)
         except NotInvertibleError as exc:
             print(f"FAIL precondition gamma0_reversible: {exc}")
             return EXIT_VERIFY_FAIL
@@ -118,7 +121,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_memprofile(args) -> int:
-    depths = [int(d) for d in args.depths.split(",")]
     descriptor = network_mod.NetworkDescriptor(
         task="classification",
         input_shape=(1, args.hw, args.hw),
@@ -126,7 +128,7 @@ def cmd_memprofile(args) -> int:
         num_classes=2,
     )
     batch = np.zeros((args.batch, 1, args.hw, args.hw))
-    rows = memprofile_mod.compare_modes(descriptor, batch, depths)
+    rows = memprofile_mod.compare_modes(descriptor, batch, args.depths)
     csv_text = memprofile_mod.render_ledger_csv(rows)
     sys.stdout.write(csv_text)
     if args.out:
@@ -135,6 +137,14 @@ def cmd_memprofile(args) -> int:
         (out / "memprofile.csv").write_text(csv_text)
         (out / "memprofile.md").write_text(memprofile_mod.render_ledger_markdown(rows))
     return EXIT_OK
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(d) for d in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_mem = sub.add_parser("memprofile", help="activation-memory ledger vs depth")
-    p_mem.add_argument("--depths", default="1,2,4,8,16")
+    p_mem.add_argument("--depths", type=_int_list, default="1,2,4,8,16")
     p_mem.add_argument("--width", type=int, default=4)
     p_mem.add_argument("--hw", type=int, default=8)
     p_mem.add_argument("--batch", type=int, default=2)
@@ -186,7 +196,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, NotInvertibleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:

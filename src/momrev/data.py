@@ -174,6 +174,11 @@ def load_sample_dir(path) -> list[Sample]:
     for f in image_files:
         sid = f.name[: -len(".image.mrt1")]
         image = tensor.load_mrt1(f)
+        if not np.all(np.isfinite(image)):
+            raise DataError(f"image for {sid!r} has non-finite pixels")
+        if samples and image.shape != samples[0].image.shape:
+            raise DataError(f"image for {sid!r} has shape {image.shape}, "
+                            f"expected {samples[0].image.shape}")
         mask_file = path / f"{sid}.mask.mrt1"
         if mask_file.exists():
             mask = tensor.load_mrt1(mask_file)

@@ -12,13 +12,14 @@ the spatial layers (a lone C x H x W input is promoted internally).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor
-from .errors import ConfigError, ShapeError, StateError
+from .errors import ConfigError, DataError, ShapeError, StateError
 
 
 @dataclass
@@ -46,7 +47,13 @@ def xavier_uniform(rng, shape, fan_in, fan_out, dtype):
 
 
 class Layer:
-    """Base layer: forward/backward pair with explicit caching."""
+    """Base layer: forward/backward pair with explicit caching.
+
+    A train-mode forward keeps what backward needs in `_cache`: one array,
+    or a tuple whose array entries count toward `cache_size`.
+    """
+
+    _cache = None
 
     def params(self) -> list[Param]:
         return []
@@ -58,17 +65,17 @@ class Layer:
         raise NotImplementedError
 
     def clear_cache(self):
-        pass
+        self._cache = None
 
     def cache_size(self) -> int:
         """Scalars retained past forward for use in backward."""
-        return 0
+        held = self._cache if isinstance(self._cache, tuple) else (self._cache,)
+        return sum(a.size for a in held if isinstance(a, np.ndarray))
 
-    def _take_cache(self, name="cache"):
-        c = getattr(self, "_cache", None)
-        if c is None:
+    def _take_cache(self):
+        if self._cache is None:
             raise StateError(f"{type(self).__name__}: backward without forward")
-        return c
+        return self._cache
 
 
 class Linear(Layer):
@@ -81,7 +88,6 @@ class Linear(Layer):
             w = xavier_uniform(rng, (d_out, d_in), d_in, d_out, dtype)
         self.w = Param(f"{name}.w", w)
         self.b = Param(f"{name}.b", np.zeros(d_out, dtype=dtype))
-        self._cache = None
 
     def params(self):
         return [self.w, self.b]
@@ -102,12 +108,6 @@ class Linear(Layer):
         gx = gy @ self.w.value
         return gx
 
-    def clear_cache(self):
-        self._cache = None
-
-    def cache_size(self):
-        return 0 if self._cache is None else self._cache.size
-
 
 class Conv2d(Layer):
     def __init__(self, c_in, c_out, k, stride=1, padding=0, rng=None, init="xavier",
@@ -125,7 +125,6 @@ class Conv2d(Layer):
         self.b = Param(f"{name}.b", np.zeros(c_out, dtype=dtype))
         self.stride = stride
         self.padding = padding
-        self._cache = None
 
     def params(self):
         return [self.w, self.b]
@@ -145,35 +144,32 @@ class Conv2d(Layer):
         s, p = self.stride, self.padding
         co, ci, kh, kw = self.w.value.shape
         b, _, oh, ow = gyb.shape
-        if p:
-            xp = np.pad(xb, ((0, 0), (0, 0), (p, p), (p, p)))
-        else:
-            xp = xb
-        gxp = np.zeros_like(xp)
+        h, w = xb.shape[2:]
+        # weight grads, then input grads: each pass holds one copy of gy,
+        # and the taps accumulate in the same order as one joint loop
+        xp = tensor.channels_last(xb, p)
+        gy_by_channel = gyb.transpose(1, 0, 2, 3).reshape(co, -1)
         for i in range(kh):
             for j in range(kw):
-                patch = xp[:, :, i : i + s * oh : s, j : j + s * ow : s]
-                self.w.grad[:, :, i, j] += np.tensordot(
-                    gyb, patch, axes=([0, 2, 3], [0, 2, 3])
+                self.w.grad[:, :, i, j] += np.dot(
+                    gy_by_channel, tensor.patch_rows(xp, i, j, s, oh, ow)
                 )
-                gxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += np.tensordot(
-                    gyb, self.w.value[:, :, i, j], axes=([1], [0])
-                ).transpose(0, 3, 1, 2)
+        del xp, gy_by_channel
+        gy_rows = gyb.transpose(0, 2, 3, 1).reshape(-1, co)
+        gxp = np.zeros((b, h + 2 * p, w + 2 * p, ci), dtype=xb.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                gxp[:, i : i + s * oh : s, j : j + s * ow : s, :] += np.dot(
+                    gy_rows, self.w.value[:, :, i, j]
+                ).reshape(b, oh, ow, ci)
+        del gy_rows
         self.b.grad += gyb.sum(axis=(0, 2, 3))
-        gx = gxp[:, :, p : xp.shape[2] - p, p : xp.shape[3] - p] if p else gxp
+        gxp = gxp.transpose(0, 3, 1, 2).copy()
+        gx = gxp[:, :, p : p + h, p : p + w] if p else gxp
         return gx[0] if squeeze else gx
-
-    def clear_cache(self):
-        self._cache = None
-
-    def cache_size(self):
-        return 0 if self._cache is None else self._cache[0].size
 
 
 class ReLU(Layer):
-    def __init__(self):
-        self._cache = None
-
     def forward(self, x, train=True):
         if train:
             self._cache = x
@@ -184,17 +180,8 @@ class ReLU(Layer):
         # subgradient at 0 is 0
         return gy * (x > 0)
 
-    def clear_cache(self):
-        self._cache = None
-
-    def cache_size(self):
-        return 0 if self._cache is None else self._cache.size
-
 
 class Tanh(Layer):
-    def __init__(self):
-        self._cache = None
-
     def forward(self, x, train=True):
         y = np.tanh(x)
         if train:
@@ -205,39 +192,9 @@ class Tanh(Layer):
         y = self._take_cache()
         return gy * (1.0 - y * y)
 
-    def clear_cache(self):
-        self._cache = None
-
-    def cache_size(self):
-        return 0 if self._cache is None else self._cache.size
-
-
-class Sigmoid(Layer):
-    def __init__(self):
-        self._cache = None
-
-    def forward(self, x, train=True):
-        y = sigmoid(x)
-        if train:
-            self._cache = y
-        return y
-
-    def backward(self, gy):
-        y = self._take_cache()
-        return gy * y * (1.0 - y)
-
-    def clear_cache(self):
-        self._cache = None
-
-    def cache_size(self):
-        return 0 if self._cache is None else self._cache.size
-
 
 class MaxPool2(Layer):
     """2x2 max pooling, stride 2."""
-
-    def __init__(self):
-        self._cache = None
 
     def forward(self, x, train=True):
         squeeze = x.ndim == 3
@@ -263,12 +220,6 @@ class MaxPool2(Layer):
         gx = gx.reshape(b, c, h, w)
         return gx[0] if squeeze else gx
 
-    def clear_cache(self):
-        self._cache = None
-
-    def cache_size(self):
-        return 0 if self._cache is None else self._cache[0].size
-
 
 class Upsample2(Layer):
     """Nearest-neighbor 2x upsampling; needs no cache."""
@@ -285,9 +236,6 @@ class Upsample2(Layer):
 class GlobalAvgPool(Layer):
     """B x C x H x W -> B x C mean over space."""
 
-    def __init__(self):
-        self._cache = None
-
     def forward(self, x, train=True):
         if train:
             self._cache = x.shape
@@ -298,9 +246,6 @@ class GlobalAvgPool(Layer):
         h, w = shape[-2], shape[-1]
         gx = np.broadcast_to(gy[..., None, None] / (h * w), shape)
         return np.ascontiguousarray(gx)
-
-    def clear_cache(self):
-        self._cache = None
 
 
 class Sequential(Layer):
@@ -398,14 +343,26 @@ def save_checkpoint(path, params: list[Param]) -> None:
             "dtype": str(np.dtype(p.value.dtype)),
         }
         blob += entry
-    path.with_suffix(".bin").write_bytes(bytes(blob))
-    path.with_suffix(".json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    _replace_file(path.with_suffix(".bin"), bytes(blob))
+    _replace_file(path.with_suffix(".json"),
+                  json.dumps(manifest, indent=2, sort_keys=True).encode())
+
+
+def _replace_file(path: Path, data: bytes) -> None:
+    """Write beside the target, then rename over it: a crash mid-write
+    leaves the previous file whole."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     path = Path(path)
-    manifest = json.loads(path.with_suffix(".json").read_text())
-    blob = path.with_suffix(".bin").read_bytes()
+    try:
+        manifest = json.loads(path.with_suffix(".json").read_text())
+        blob = path.with_suffix(".bin").read_bytes()
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     out = {}
     for name, entry in manifest.items():
         arr, _ = tensor.deserialize_mrt1(blob, entry["offset"])

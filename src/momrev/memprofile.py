@@ -11,7 +11,6 @@ the retained totals.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,31 +20,10 @@ LEDGER_COLUMNS = ["depth", "mode", "chain_states", "f_transient_peak",
                   "skips", "transitions", "total"]
 
 
-@dataclass
-class MemoryLedger:
-    chain_states: int
-    f_transient_peak: int
-    skips: int
-    transitions: int
-    head: int
-
-    @property
-    def total(self) -> int:
-        """Retained scalars; the transient peak is tracked separately."""
-        return self.chain_states + self.skips + self.transitions + self.head
-
-
-def profile_forward(net, batch: np.ndarray) -> MemoryLedger:
+def profile_forward(net, batch: np.ndarray) -> network_mod.MemoryLedger:
     """Run one train-mode forward and tally what stayed cached."""
     net.predict(batch, train=True)
-    report = net.cache_report()
-    ledger = MemoryLedger(
-        chain_states=report["chain_states"],
-        f_transient_peak=report["f_transient_peak"],
-        skips=report["skips"],
-        transitions=report["transitions"],
-        head=report["head"],
-    )
+    ledger = net.memory_ledger()
     net.clear_caches()
     return ledger
 

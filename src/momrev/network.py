@@ -14,7 +14,7 @@ Two toy architectures share the same building blocks:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,6 +80,22 @@ class NetworkDescriptor:
     @classmethod
     def from_json(cls, text: str) -> "NetworkDescriptor":
         return cls(**json.loads(text))
+
+
+@dataclass
+class MemoryLedger:
+    """Activation-memory tally by category, in scalars."""
+
+    chain_states: int
+    f_transient_peak: int
+    skips: int
+    transitions: int
+    head: int
+
+    @property
+    def total(self) -> int:
+        """Retained scalars; the transient peak is tracked separately."""
+        return self.chain_states + self.skips + self.transitions + self.head
 
 
 def _make_chain(stage: StageSpec, hw, rng, dtype, v0_policy, name):
@@ -149,17 +165,16 @@ class Network:
         self.head_layer().clear_cache()
         self._pending = False
 
-    def cache_report(self) -> dict:
+    def memory_ledger(self) -> MemoryLedger:
+        """Scalars held right now for a pending train-mode backward."""
         chains = self.chains()
-        report = {
-            "chain_states": sum(c.retained_state_scalars() for c in chains),
-            "f_transient_peak": max((c.f_transient_peak for c in chains), default=0),
-            "skips": self._skip_scalars(),
-            "transitions": sum(l.cache_size() for l in self.transition_layers()),
-            "head": self.head_layer().cache_size(),
-        }
-        report["total"] = sum(report.values()) - report["f_transient_peak"]
-        return report
+        return MemoryLedger(
+            chain_states=sum(c.retained_state_scalars() for c in chains),
+            f_transient_peak=max((c.f_transient_peak for c in chains), default=0),
+            skips=self._skip_scalars(),
+            transitions=sum(l.cache_size() for l in self.transition_layers()),
+            head=self.head_layer().cache_size(),
+        )
 
     def _skip_scalars(self) -> int:
         return 0

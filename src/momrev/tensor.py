@@ -1,9 +1,9 @@
-"""Dense tensor arithmetic and the MRT1 on-disk format.
+"""Batched convolution and the MRT1 on-disk format.
 
 Tensors are plain numpy arrays (row-major, channels-first for images).
 float64 is the verification default; float32 is used for training speed.
-This module adds the shape-checked operations the rest of the code relies
-on, plus serialization. No broadcasting beyond scalars, no views.
+This module holds the convolution kernel that layers.Conv2d runs on, its
+geometry check, and tensor serialization.
 """
 
 from __future__ import annotations
@@ -13,52 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, NumericError, ShapeError
+from .errors import DataError, ShapeError
 
 Tensor = np.ndarray
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _MAGIC = b"MRT1"
-
-
-def check_finite(a: Tensor, context: str = "tensor") -> Tensor:
-    if not np.all(np.isfinite(a)):
-        raise NumericError(f"non-finite values in {context}")
-    return a
-
-
-def _check_same_shape(a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
-def add(a: Tensor, b) -> Tensor:
-    if isinstance(b, np.ndarray) and b.ndim > 0:
-        _check_same_shape(a, b)
-    return a + b
-
-
-def sub(a: Tensor, b) -> Tensor:
-    if isinstance(b, np.ndarray) and b.ndim > 0:
-        _check_same_shape(a, b)
-    return a - b
-
-
-def mul(a: Tensor, b) -> Tensor:
-    if isinstance(b, np.ndarray) and b.ndim > 0:
-        _check_same_shape(a, b)
-    return a * b
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    return a * s
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def conv2d_output_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int):
@@ -73,42 +34,43 @@ def conv2d_output_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int
     return num_h // stride + 1, num_w // stride + 1
 
 
-def conv2d(inp: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlate a C_in x H x W input with C_out x C_in x kH x kW kernels."""
-    if inp.ndim != 3 or kernels.ndim != 4:
-        raise ShapeError("conv2d expects CxHxW input and OxCxkHxkW kernels")
-    c_in, h, w = inp.shape
-    c_out, kc, kh, kw = kernels.shape
-    if kc != c_in:
-        raise ShapeError(f"conv2d channel mismatch: input {c_in}, kernels {kc}")
-    out = conv2d_batched(inp[None], kernels, stride, padding)
-    return out[0]
-
-
 def conv2d_batched(inp: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Batched cross-correlation, B x C_in x H x W -> B x C_out x H' x W'.
 
-    Accumulates one strided tensordot per kernel offset; fast enough at
-    desk scale and easy to differentiate (see layers.Conv2d.backward).
+    Accumulates one strided matrix product per kernel offset; fast enough
+    at desk scale and easy to differentiate (see layers.Conv2d.backward).
     """
     b, c_in, h, w = inp.shape
     c_out, kc, kh, kw = kernels.shape
     if kc != c_in:
         raise ShapeError(f"conv2d channel mismatch: input {c_in}, kernels {kc}")
     oh, ow = conv2d_output_hw(h, w, kh, kw, stride, padding)
-    if padding:
-        xp = np.pad(inp, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = inp
-    out = np.zeros((b, c_out, oh, ow), dtype=inp.dtype)
+    xp = channels_last(inp, padding)
+    out = np.zeros((b, oh, ow, c_out), dtype=inp.dtype)
     for i in range(kh):
         for j in range(kw):
-            patch = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-            # (b,c_in,oh,ow) x (c_out,c_in) -> (b,oh,ow,c_out)
-            out += np.tensordot(patch, kernels[:, :, i, j], axes=([1], [1])).transpose(
-                0, 3, 1, 2
+            # (b*oh*ow, c_in) x (c_in, c_out) -> (b, oh, ow, c_out)
+            out += np.dot(patch_rows(xp, i, j, stride, oh, ow), kernels[:, :, i, j].T).reshape(
+                out.shape
             )
-    return out
+    del xp  # free the padded copy before the layout copy, so peak memory stays put
+    return out.transpose(0, 3, 1, 2).copy()
+
+
+def channels_last(inp: Tensor, padding: int) -> Tensor:
+    """B x C x H x W -> zero-padded B x H' x W' x C, so that each kernel
+    offset's patch is gathered in rows of C contiguous values."""
+    b, c, h, w = inp.shape
+    p = padding
+    xp = np.zeros((b, h + 2 * p, w + 2 * p, c), dtype=inp.dtype)
+    xp[:, p : p + h, p : p + w, :] = inp.transpose(0, 2, 3, 1)
+    return xp
+
+
+def patch_rows(xp: Tensor, i: int, j: int, stride: int, oh: int, ow: int) -> Tensor:
+    """The (B*oh*ow) x C input rows that kernel offset (i, j) multiplies."""
+    patch = xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :]
+    return patch.reshape(-1, xp.shape[3])
 
 
 def save_mrt1(path, a: Tensor) -> None:

@@ -3,7 +3,6 @@ per-epoch CSV logging, and split evaluation."""
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -123,6 +122,16 @@ def load_dataset(cfg: TrainConfig) -> list[data_mod.Sample]:
     raise ConfigError(f"data.generator: unknown {d.generator!r}")
 
 
+def load_splits(cfg: TrainConfig):
+    """The dataset cut by `cfg.split_seed`: (manifest, {split name: samples})."""
+    samples = load_dataset(cfg)
+    by_id = {s.id: s for s in samples}
+    manifest = data_mod.split([s.id for s in samples], cfg.split_seed)
+    sets = {name: [by_id[i] for i in getattr(manifest, name)]
+            for name in ("train", "val", "test")}
+    return manifest, sets
+
+
 def _stack_batch(samples, dtype, task):
     images = np.stack([s.image for s in samples]).astype(dtype)
     if task == "segmentation":
@@ -192,13 +201,9 @@ def train(cfg: TrainConfig, out_dir=None):
     (out / "config.json").write_text(cfg.to_json())
 
     dtype = cfg.np_dtype()
-    samples = load_dataset(cfg)
-    by_id = {s.id: s for s in samples}
-    manifest = data_mod.split([s.id for s in samples], cfg.split_seed)
+    manifest, sets = load_splits(cfg)
     (out / "split.json").write_text(manifest.to_json())
-    train_set = [by_id[i] for i in manifest.train]
-    val_set = [by_id[i] for i in manifest.val]
-    test_set = [by_id[i] for i in manifest.test]
+    train_set, val_set, test_set = sets["train"], sets["val"], sets["test"]
 
     net = network_mod.build(cfg.descriptor(), seed=cfg.seed, dtype=dtype)
     opt = Adam(net.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)

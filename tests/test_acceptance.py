@@ -21,8 +21,14 @@ from momrev.momentum import (
     MomentumChain,
     MomentumState,
 )
-from test_metrics import oracle_hausdorff, oracle_mcc, oracle_ratio
-from util import fd_grad, rel_err, rng
+from momrev.verify import (
+    fd_grad,
+    oracle_hausdorff,
+    oracle_mcc,
+    oracle_ratio_metrics,
+    rel_err,
+)
+from util import rng
 
 
 def report(name, passed, detail):
@@ -154,7 +160,7 @@ def test_metric_oracles_thousand_cases():
         pred = (r.uniform(size=(8, 8)) < r.uniform(0.05, 0.7)).astype(np.uint8)
         gt = (r.uniform(size=(8, 8)) < r.uniform(0.05, 0.7)).astype(np.uint8)
         got = metrics.dice_iou_prf(pred, gt)
-        ok &= got == oracle_ratio(pred, gt)
+        ok &= got == oracle_ratio_metrics(pred, gt)
         for variant in ("max", "hd95"):
             g = metrics.hausdorff(pred, gt, variant)
             w = oracle_hausdorff(pred, gt, variant)

@@ -128,6 +128,17 @@ def test_missing_config_and_preset_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", [None, "{not json", '{"task": "segmentation", "bogus": 1}'],
+                         ids=["missing", "not-json", "unknown-field"])
+def test_unreadable_config_exit_code(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    code, _, err = run(["train", "--config", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("config error:")
+
+
 def test_missing_data_dir_exit_code(tmp_path, capsys):
     cfg = segmentation_defaults(
         network=dict(task="segmentation", input_shape=[1, 16, 16],
@@ -173,3 +184,27 @@ def test_repeat_runs_bit_identical(tmp_path, capsys):
                         (d / "train_log.csv").read_text(),
                         (d / "test_metrics.csv").read_text()))
     assert outputs[0] == outputs[1]
+
+
+def test_eval_missing_checkpoint_exit_code(tmp_path, capsys):
+    cfg_path = tiny_seg_config(tmp_path)
+    code, _, err = run(["eval", "--config", str(cfg_path),
+                        "--checkpoint", str(tmp_path / "nowhere" / "ck")], capsys)
+    assert code == 3
+    assert err.startswith("data error:") and len(err.splitlines()) == 1
+
+
+def test_memprofile_bad_depths_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["memprofile", "--depths", "x"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_reversible_gamma_zero_config_exit_code(tmp_path, capsys):
+    cfg_path = tiny_seg_config(tmp_path, network=dict(
+        task="segmentation", input_shape=[1, 16, 16],
+        stages=[dict(width=4, blocks=1, gamma=0.0, mode="reversible")]))
+    code, _, err = run(["train", "--config", str(cfg_path)], capsys)
+    assert code == 2
+    assert err.startswith("config error:")

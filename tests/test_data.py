@@ -135,3 +135,19 @@ def test_non_binary_mask_rejected(tmp_path):
     save_mrt1(tmp_path / f"{samples[0].id}.mask.mrt1", bad)
     with pytest.raises(DataError):
         data.load_sample_dir(tmp_path)
+
+
+def test_non_finite_image_rejected(tmp_path):
+    samples = data.gen_blobs_cls(2, hw=8, seed=3)
+    data.save_dataset(samples, tmp_path)
+    save_mrt1(tmp_path / f"{samples[1].id}.image.mrt1", np.full((1, 8, 8), np.nan))
+    with pytest.raises(DataError, match=samples[1].id):
+        data.load_sample_dir(tmp_path)
+
+
+def test_mixed_image_shapes_rejected(tmp_path):
+    samples = data.gen_blobs_cls(2, hw=8, seed=3)
+    data.save_dataset(samples, tmp_path)
+    save_mrt1(tmp_path / f"{samples[1].id}.image.mrt1", np.zeros((1, 4, 4)))
+    with pytest.raises(DataError, match=samples[1].id):
+        data.load_sample_dir(tmp_path)

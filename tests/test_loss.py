@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from momrev import loss
 from momrev.errors import DataError, ShapeError
-from util import fd_grad, rel_err, rng
+from momrev.verify import fd_grad, rel_err
+from util import rng
 
 
 def test_bce_at_zero_logit():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from momrev import memprofile, network
-from util import rel_err, rng
+from util import rng
 
 
 def chain_descriptor(mode, blocks, width=4, hw=8):
@@ -69,8 +69,8 @@ def test_profile_clears_caches():
     desc = chain_descriptor("stored", 4)
     net = network.build(desc, seed=0)
     memprofile.profile_forward(net, rng(1).normal(size=(2, 1, 8, 8)))
-    report = net.cache_report()
-    assert report["total"] == 0 and report["chain_states"] == 0
+    ledger = net.memory_ledger()
+    assert ledger.total == 0 and ledger.chain_states == 0
 
 
 def test_gradients_unchanged_by_profiling():

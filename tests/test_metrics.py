@@ -7,54 +7,8 @@ from hypothesis import strategies as st
 
 from momrev import metrics
 from momrev.errors import DataError
+from momrev.verify import oracle_hausdorff, oracle_mcc, oracle_ratio_metrics
 from util import rng
-
-# independent brute-force oracles
-
-
-def oracle_counts(pred, gt):
-    a = {tuple(c) for c in np.argwhere(np.asarray(pred, dtype=bool))}
-    b = {tuple(c) for c in np.argwhere(np.asarray(gt, dtype=bool))}
-    return a, b
-
-
-def oracle_ratio(pred, gt):
-    a, b = oracle_counts(pred, gt)
-    if not a and not b:
-        return (1.0,) * 5
-    tp, fp, fn = len(a & b), len(a - b), len(b - a)
-    dsc = 2 * tp / (2 * tp + fp + fn)
-    iou = tp / (tp + fp + fn)
-    rec = tp / (tp + fn) if tp + fn else 0.0
-    prec = tp / (tp + fp) if tp + fp else 0.0
-    f2 = 5 * prec * rec / (4 * prec + rec) if 4 * prec + rec else 0.0
-    return dsc, iou, rec, prec, f2
-
-
-def oracle_boundary(mask):
-    m = np.asarray(mask, dtype=bool)
-    h, w = m.shape
-    pts = []
-    for i in range(h):
-        for j in range(w):
-            if not m[i, j]:
-                continue
-            if (i in (0, h - 1) or j in (0, w - 1)
-                    or not (m[i - 1, j] and m[i + 1, j] and m[i, j - 1] and m[i, j + 1])):
-                pts.append((i, j))
-    return pts
-
-
-def oracle_hausdorff(pred, gt, variant):
-    a, b = oracle_boundary(pred), oracle_boundary(gt)
-    if not a and not b:
-        return 0.0
-    if not a or not b:
-        return math.inf
-    d = [min(math.dist(p, q) for q in b) for p in a]
-    d += [min(math.dist(q, p) for p in a) for q in b]
-    return max(d) if variant == "max" else float(np.percentile(d, 95, method="linear"))
-
 
 def random_mask(r, hw=8):
     return (r.uniform(size=(hw, hw)) < r.uniform(0.05, 0.7)).astype(np.uint8)
@@ -103,7 +57,7 @@ def test_empty_conventions():
 def test_ratio_metrics_match_bruteforce(seed):
     r = rng(seed)
     pred, gt = random_mask(r), random_mask(r)
-    assert metrics.dice_iou_prf(pred, gt) == oracle_ratio(pred, gt)
+    assert metrics.dice_iou_prf(pred, gt) == oracle_ratio_metrics(pred, gt)
 
 
 @given(st.integers(0, 100_000))
@@ -179,24 +133,6 @@ def test_hausdorff_symmetry_and_hd95_bound(seed):
 
 
 # accuracy / MCC
-
-
-def oracle_mcc(confusion):
-    c = np.asarray(confusion, dtype=np.int64)
-    k = c.shape[0]
-    t_rows, p_rows = [], []
-    for i in range(k):
-        for j in range(k):
-            for _ in range(int(c[i, j])):
-                t = np.zeros(k)
-                p = np.zeros(k)
-                t[i] = p[j] = 1.0
-                t_rows.append(t)
-                p_rows.append(p)
-    t = np.array(t_rows) - np.mean(t_rows, axis=0)
-    p = np.array(p_rows) - np.mean(p_rows, axis=0)
-    den = math.sqrt((t * t).sum()) * math.sqrt((p * p).sum())
-    return 0.0 if den == 0 else float((t * p).sum() / den)
 
 
 def test_diagonal_confusion_perfect():

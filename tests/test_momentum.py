@@ -12,7 +12,8 @@ from momrev.momentum import (
     MomentumChain,
     MomentumState,
 )
-from util import fd_grad, rel_err, rng
+from momrev.verify import fd_grad, rel_err
+from util import rng
 
 
 def zero_f(dim=1):

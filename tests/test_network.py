@@ -4,7 +4,8 @@ import pytest
 from momrev import network
 from momrev.errors import ConfigError, ShapeError, StateError
 from momrev.layers import load_checkpoint
-from util import fd_grad, rel_err, rng
+from momrev.verify import fd_grad, rel_err
+from util import rng
 
 
 def cls_descriptor(**kw):

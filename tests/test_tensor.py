@@ -8,57 +8,6 @@ from momrev.errors import DataError, ShapeError
 from util import rng
 
 
-def test_add_componentwise():
-    assert np.array_equal(tensor.add(np.array([1.0, 2.0]), np.array([3.0, 4.0])),
-                          np.array([4.0, 6.0]))
-
-
-def test_scale_by_scalar():
-    assert np.array_equal(tensor.scale(np.array([2.0, 4.0]), 0.5), np.array([1.0, 2.0]))
-
-
-def test_mul_zero_annihilation():
-    assert np.array_equal(tensor.mul(np.array([1.0, 0.0]), np.array([5.0, 7.0])),
-                          np.array([5.0, 0.0]))
-
-
-def test_elementwise_shape_mismatch():
-    with pytest.raises(ShapeError):
-        tensor.add(np.zeros(2), np.zeros(3))
-    with pytest.raises(ShapeError):
-        tensor.sub(np.zeros((2, 2)), np.zeros((2, 3)))
-
-
-def test_matmul_identity():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(tensor.matmul(np.eye(2), a), a)
-
-
-def test_matmul_dot():
-    out = tensor.matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-    assert out.shape == (1, 1) and out[0, 0] == 11.0
-
-
-def test_matmul_zero():
-    out = tensor.matmul(np.zeros((2, 3)), rng(0).normal(size=(3, 2)))
-    assert np.array_equal(out, np.zeros((2, 2)))
-
-
-def test_matmul_inner_mismatch():
-    with pytest.raises(ShapeError):
-        tensor.matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-
-@given(st.integers(0, 10_000))
-@settings(max_examples=30, deadline=None)
-def test_matmul_associative(seed):
-    r = rng(seed)
-    a, b, c = (r.normal(size=(3, 3)) for _ in range(3))
-    lhs = tensor.matmul(tensor.matmul(a, b), c)
-    rhs = tensor.matmul(a, tensor.matmul(b, c))
-    assert np.abs(lhs - rhs).max() <= 1e-10 * max(1.0, np.abs(lhs).max())
-
-
 def test_row_major_flat_index():
     a = np.arange(24.0).reshape(2, 3, 4)
     strides = (12, 4, 1)
@@ -71,7 +20,7 @@ def test_row_major_flat_index():
 
 
 def conv2d_bruteforce(inp, kernels, stride, padding):
-    """Independent sliding-window oracle with explicit loops."""
+    """Independent sliding-window oracle with explicit loops, one C x H x W image."""
     c_in, h, w = inp.shape
     c_out, _, kh, kw = kernels.shape
     xp = np.pad(inp, ((0, 0), (padding, padding), (padding, padding)))
@@ -91,40 +40,41 @@ def conv2d_bruteforce(inp, kernels, stride, padding):
 
 
 def test_conv2d_pointwise_scaling():
-    inp = np.ones((1, 3, 3))
+    inp = np.ones((2, 1, 3, 3))
     k = np.full((1, 1, 1, 1), 2.0)
-    assert np.array_equal(tensor.conv2d(inp, k), np.full((1, 3, 3), 2.0))
+    assert np.array_equal(tensor.conv2d_batched(inp, k), np.full((2, 1, 3, 3), 2.0))
 
 
 def test_conv2d_impulse_response():
-    inp = np.zeros((1, 5, 5))
-    inp[0, 2, 2] = 1.0
+    inp = np.zeros((1, 1, 5, 5))
+    inp[0, 0, 2, 2] = 1.0
     k = rng(3).normal(size=(1, 1, 3, 3))
-    out = tensor.conv2d(inp, k, stride=1, padding=1)
+    out = tensor.conv2d_batched(inp, k, stride=1, padding=1)
     # cross-correlation of a delta imprints the kernel flipped around the center
-    assert np.allclose(out[0, 1:4, 1:4], k[0, 0, ::-1, ::-1])
+    assert np.allclose(out[0, 0, 1:4, 1:4], k[0, 0, ::-1, ::-1])
 
 
 def test_conv2d_strided_against_explicit_sums():
     r = rng(4)
-    inp = r.normal(size=(1, 4, 4))
+    inp = r.normal(size=(1, 1, 4, 4))
     k = r.normal(size=(1, 1, 2, 2))
-    out = tensor.conv2d(inp, k, stride=2, padding=0)
-    assert out.shape == (1, 2, 2)
+    out = tensor.conv2d_batched(inp, k, stride=2, padding=0)
+    assert out.shape == (1, 1, 2, 2)
     for i in range(2):
         for j in range(2):
             expected = sum(
-                inp[0, 2 * i + a, 2 * j + b] * k[0, 0, a, b]
+                inp[0, 0, 2 * i + a, 2 * j + b] * k[0, 0, a, b]
                 for a in range(2)
                 for b in range(2)
             )
-            assert out[0, i, j] == pytest.approx(expected, rel=1e-12)
+            assert out[0, 0, i, j] == pytest.approx(expected, rel=1e-12)
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_conv2d_matches_bruteforce(seed):
     r = rng(seed)
+    batch = int(r.integers(1, 3))
     c_in = int(r.integers(1, 3))
     c_out = int(r.integers(1, 3))
     k = int(r.integers(1, 4))
@@ -134,22 +84,22 @@ def test_conv2d_matches_bruteforce(seed):
     w = k + stride * int(r.integers(0, 4)) - 2 * padding
     if h < 1 or w < 1:
         return
-    inp = r.normal(size=(c_in, h, w))
+    inp = r.normal(size=(batch, c_in, h, w))
     kern = r.normal(size=(c_out, c_in, k, k))
-    got = tensor.conv2d(inp, kern, stride, padding)
-    want = conv2d_bruteforce(inp, kern, stride, padding)
+    got = tensor.conv2d_batched(inp, kern, stride, padding)
+    want = np.stack([conv2d_bruteforce(x, kern, stride, padding) for x in inp])
     assert got.shape == want.shape
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_conv2d_bad_geometry():
     with pytest.raises(ShapeError):
-        tensor.conv2d(np.zeros((1, 5, 5)), np.zeros((1, 1, 2, 2)), stride=2, padding=0)
+        tensor.conv2d_batched(np.zeros((1, 1, 5, 5)), np.zeros((1, 1, 2, 2)), stride=2)
 
 
 def test_conv2d_channel_mismatch():
     with pytest.raises(ShapeError):
-        tensor.conv2d(np.zeros((2, 4, 4)), np.zeros((1, 3, 3, 3)))
+        tensor.conv2d_batched(np.zeros((1, 2, 4, 4)), np.zeros((1, 3, 3, 3)))
 
 
 # MRT1 format

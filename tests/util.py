@@ -1,29 +1,7 @@
-"""Shared test helpers: finite-difference oracle and seeded RNGs."""
+"""Shared test helper: seeded RNGs."""
 
 import numpy as np
 
 
 def rng(seed):
     return np.random.Generator(np.random.Philox(seed))
-
-
-def fd_grad(fn, x, h=1e-5):
-    """Central finite differences of a scalar function; mutates x in place
-    during probing but restores it."""
-    g = np.zeros_like(x, dtype=np.float64)
-    flat = x.ravel()
-    gf = g.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = fn()
-        flat[i] = orig - h
-        fm = fn()
-        flat[i] = orig
-        gf[i] = (fp - fm) / (2 * h)
-    return g
-
-
-def rel_err(a, b):
-    denom = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
-    return float(np.abs(np.asarray(a) - np.asarray(b)).max() / denom)
