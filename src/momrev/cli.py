@@ -20,9 +20,9 @@ from . import metrics as metrics_mod
 from . import network as network_mod
 from . import train as train_mod
 from . import verify as verify_mod
-from .errors import ConfigError, DataError, NotInvertibleError, NumericError
+from .errors import ConfigError, DataError, NotInvertibleError, NumericError, ShapeError
 from .layers import build_residual_function
-from .momentum import REVERSIBLE, MomentumBlock
+from .momentum import REVERSIBLE, MomentumBlock, MomentumChain
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -79,11 +79,10 @@ def cmd_eval(args) -> int:
         cfg.hd_variant = args.hd_variant
     if args.threshold is not None:
         cfg.eval_threshold = args.threshold
-    _, sets = train_mod.load_splits(cfg)
-    subset = sets[args.split]
     net = network_mod.build(cfg.descriptor(), seed=cfg.seed, dtype=cfg.np_dtype())
     net.load(Path(args.checkpoint))
-    result = train_mod.evaluate_split(cfg, net, subset)
+    _, sets = train_mod.load_splits(cfg)
+    result = train_mod.evaluate_split(cfg, net, sets[args.split])
     if cfg.task == "segmentation":
         columns = metrics_mod.SEG_COLUMNS
         rows = [(args.split, [result[c] for c in columns])]
@@ -105,8 +104,8 @@ def cmd_verify(args) -> int:
     if args.mode == "reversible" and args.gamma == 0.0:
         # exercised precondition: the reversible sweep divides by gamma
         try:
-            MomentumBlock(0.0, build_residual_function({"kind": "linear", "dim": 1}, None),
-                          REVERSIBLE)
+            f = build_residual_function({"kind": "linear", "dim": 1}, None)
+            MomentumChain([MomentumBlock(0.0, f)], REVERSIBLE)
         except NotInvertibleError as exc:
             print(f"FAIL precondition gamma0_reversible: {exc}")
             return EXIT_VERIFY_FAIL
@@ -196,7 +195,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, NotInvertibleError) as exc:
+    except (ConfigError, NotInvertibleError, ShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:

@@ -47,7 +47,6 @@ def compare_modes(descriptor: network_mod.NetworkDescriptor, batch: np.ndarray,
                 input_shape=descriptor.input_shape,
                 stages=stages,
                 num_classes=descriptor.num_classes,
-                v0_policy=descriptor.v0_policy,
             )
             net = network_mod.build(desc, seed=seed, dtype=dtype)
             ledger = profile_forward(net, batch.astype(dtype))

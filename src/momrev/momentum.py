@@ -14,10 +14,12 @@ is invertible:
     v = (v' - (1 - gamma) * f(x)) / gamma
 
 which is what lets a chain run backward without caching per-block states.
-Both backward modes recompute f's internals from the block input (cached
-in stored mode, reconstructed in reversible mode), so the per-block
-working set is identical; the modes differ only in how many chain states
-they retain.
+The backward mode belongs to the chain, not to its blocks: a stored chain
+retains the input state of every block, a reversible chain retains only
+its final state and rebuilds the others by inversion, so it refuses any
+gamma = 0 block when it is built. Both modes recompute f's internals from
+the block input (retained or reconstructed), so the per-block working set
+is identical; the modes differ only in how many chain states they retain.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NotInvertibleError, NumericError, StateError
-from .layers import Param, Sequential
+from .layers import Sequential, build_residual_function
 
 
 @dataclass
@@ -49,16 +51,11 @@ REVERSIBLE = "reversible"
 
 
 class MomentumBlock:
-    def __init__(self, gamma: float, f: Sequential, mode: str = STORED):
+    def __init__(self, gamma: float, f: Sequential):
         if not 0.0 <= gamma <= 1.0:
             raise ConfigError(f"gamma must lie in [0,1], got {gamma}")
-        if mode not in (STORED, REVERSIBLE):
-            raise ConfigError(f"unknown mode {mode!r}")
-        if mode == REVERSIBLE and gamma == 0.0:
-            raise NotInvertibleError("reversible mode requires gamma > 0")
         self.gamma = gamma
         self.f = f
-        self.mode = mode
 
     def forward(self, state: MomentumState, train=False) -> MomentumState:
         fx = self.f.forward(state.x, train=train)
@@ -99,59 +96,41 @@ class MomentumBlock:
 
 
 class MomentumChain:
-    """A stack of momentum blocks over one shared state shape.
+    """A stack of momentum blocks over one shared state shape, started
+    from zero velocity.
 
-    Stored mode caches the input state of every block (2*S*n scalars for
-    n blocks of state size S); reversible mode caches only the final
-    state (2*S scalars) and reconstructs the rest during backward.
+    State i is the input of block i and state n the chain output. A
+    train-mode forward keeps the states its mode needs in `_saved`: stored
+    mode keeps 0..n-1 (2*S*n scalars for state size S), reversible mode
+    keeps only n (2*S scalars). Backward takes each block input from
+    `_saved` when it is there and inverts the next state when it is not.
     """
 
-    def __init__(self, blocks: list[MomentumBlock], v0_policy: str = "zeros",
-                 state_shape=None, dtype=np.float64, name="chain"):
-        if v0_policy not in ("zeros", "learned"):
-            raise ConfigError(f"unknown v0 policy {v0_policy!r}")
-        if v0_policy == "learned" and state_shape is None:
-            raise ConfigError("learned v0 needs an explicit state shape")
+    def __init__(self, blocks: list[MomentumBlock], mode: str = STORED, name="chain"):
+        if mode not in (STORED, REVERSIBLE):
+            raise ConfigError(f"unknown mode {mode!r}")
+        if mode == REVERSIBLE and any(b.gamma == 0.0 for b in blocks):
+            raise NotInvertibleError("reversible mode requires gamma > 0")
         self.blocks = list(blocks)
-        self.v0_policy = v0_policy
-        self.v0 = (
-            Param(f"{name}.v0", np.zeros(state_shape, dtype=dtype))
-            if v0_policy == "learned"
-            else None
-        )
+        self.mode = mode
         self.name = name
-        self._stored_states: list[MomentumState] | None = None
-        self._final_state: MomentumState | None = None
-        self._pending = False
+        self._saved: dict[int, MomentumState] | None = None
         self.f_transient_peak = 0
 
-    @property
-    def mode(self) -> str:
-        return self.blocks[0].mode if self.blocks else STORED
-
     def params(self):
-        out = [self.v0] if self.v0 is not None else []
-        for b in self.blocks:
-            out.extend(b.params())
-        return out
+        return [p for b in self.blocks for p in b.params()]
 
-    def _initial_velocity(self, x0: np.ndarray) -> np.ndarray:
-        if self.v0 is None:
-            return np.zeros_like(x0)
-        v0 = self.v0.value
-        if x0.ndim == v0.ndim + 1:  # broadcast over the batch axis
-            return np.broadcast_to(v0, x0.shape).astype(x0.dtype)
-        return v0.astype(x0.dtype)
+    def _retains(self, i: int) -> bool:
+        n = len(self.blocks)
+        return i < n if self.mode == STORED else i == n
 
-    def forward(self, x0: np.ndarray, v0: np.ndarray | None = None,
-                train: bool = True) -> MomentumState:
-        state = MomentumState(x0, v0 if v0 is not None else self._initial_velocity(x0))
-        reversible = self.mode == REVERSIBLE
-        stored: list[MomentumState] = []
+    def forward(self, x0: np.ndarray, train: bool = True) -> MomentumState:
+        state = MomentumState(x0, np.zeros_like(x0))
+        saved = {}
         peak = 0
-        for block in self.blocks:
-            if train and not reversible:
-                stored.append(state)
+        for i, block in enumerate(self.blocks):
+            if train and self._retains(i):
+                saved[i] = state
             block.f.clear_cache()
             out = block.forward(state, train=train)
             peak = max(peak, block.f.cache_size())
@@ -159,47 +138,41 @@ class MomentumChain:
             state = out
         self.f_transient_peak = peak
         if train:
-            # stored mode keeps the per-block inputs; reversible keeps only
-            # the final state and reconstructs the rest during backward.
-            self._stored_states = None if reversible else stored
-            self._final_state = state if reversible else None
-            self._pending = True
+            if self._retains(len(self.blocks)):
+                saved[len(self.blocks)] = state
+            self._saved = saved
         return state
 
-    def backward(self, gx: np.ndarray, gv: np.ndarray | None = None):
-        """Returns (grad_x0, grad_v0); accumulates parameter grads."""
-        if not self._pending:
+    def backward(self, gx: np.ndarray) -> np.ndarray:
+        """Returns the gradient w.r.t. x0; accumulates parameter grads."""
+        if self._saved is None:
             raise StateError(f"{self.name}: backward without forward")
-        if gv is None:
-            gv = np.zeros_like(gx)
-        state = self._final_state
-        for n in reversed(range(len(self.blocks))):
-            block = self.blocks[n]
-            if self._stored_states is not None:
-                state = self._stored_states[n]
-            else:
-                state = block.inverse(state)
+        gv = np.zeros_like(gx)
+        state = self._saved.get(len(self.blocks))
+        for i in reversed(range(len(self.blocks))):
+            block = self.blocks[i]
+            state = self._saved[i] if i in self._saved else block.inverse(state)
             gx, gv = block.backward_step(state.x, gx, gv)
-        self._stored_states = None
-        self._final_state = None
-        self._pending = False
-        if self.v0 is not None:
-            g = gv if gv.ndim == self.v0.value.ndim else gv.sum(axis=0)
-            self.v0.grad += g
-        return gx, gv
+        self._saved = None
+        return gx
 
     def retained_state_scalars(self) -> int:
         """Chain-state floats currently held for a pending backward."""
-        total = 0
-        if self._stored_states is not None:
-            total += sum(s.size for s in self._stored_states)
-        elif self._final_state is not None:
-            total += self._final_state.size
-        return total
+        return sum(s.size for s in self._saved.values()) if self._saved else 0
 
     def clear(self):
-        self._stored_states = None
-        self._final_state = None
-        self._pending = False
+        self._saved = None
         for block in self.blocks:
             block.f.clear_cache()
+
+
+def build_chain(f_desc: dict, depth: int, gamma: float, mode: str, rng,
+                dtype=np.float64, name="chain") -> MomentumChain:
+    """`depth` blocks at one gamma, each with a fresh residual function
+    `build_residual_function(f_desc)` drawn from `rng` in block order and
+    named `{name}.b{j}`."""
+    blocks = [
+        MomentumBlock(gamma, build_residual_function(f_desc, rng, dtype, f"{name}.b{j}"))
+        for j in range(depth)
+    ]
+    return MomentumChain(blocks, mode, name)

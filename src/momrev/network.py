@@ -13,8 +13,7 @@ Two toy architectures share the same building blocks:
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,11 +27,10 @@ from .layers import (
     Sequential,
     Upsample2,
     assign_checkpoint,
-    build_residual_function,
     load_checkpoint,
     save_checkpoint,
 )
-from .momentum import MomentumBlock, MomentumChain
+from .momentum import MomentumChain, build_chain
 
 
 @dataclass
@@ -49,7 +47,6 @@ class NetworkDescriptor:
     input_shape: tuple  # (C, H, W)
     stages: list
     num_classes: int = 2
-    v0_policy: str = "zeros"
 
     def __post_init__(self):
         self.input_shape = tuple(self.input_shape)
@@ -72,15 +69,6 @@ class NetworkDescriptor:
         if self.task == "classification" and self.num_classes < 2:
             raise ConfigError("classification needs num_classes >= 2")
 
-    def to_json(self) -> str:
-        d = asdict(self)
-        d["input_shape"] = list(self.input_shape)
-        return json.dumps(d, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "NetworkDescriptor":
-        return cls(**json.loads(text))
-
 
 @dataclass
 class MemoryLedger:
@@ -96,22 +84,6 @@ class MemoryLedger:
     def total(self) -> int:
         """Retained scalars; the transient peak is tracked separately."""
         return self.chain_states + self.skips + self.transitions + self.head
-
-
-def _make_chain(stage: StageSpec, hw, rng, dtype, v0_policy, name):
-    blocks = [
-        MomentumBlock(
-            stage.gamma,
-            build_residual_function(
-                {"kind": "conv", "channels": stage.width}, rng, dtype, f"{name}.b{j}"
-            ),
-            mode=stage.mode,
-        )
-        for j in range(stage.blocks)
-    ]
-    state_shape = (stage.width,) + tuple(hw)
-    return MomentumChain(blocks, v0_policy=v0_policy, state_shape=state_shape,
-                         dtype=dtype, name=name)
 
 
 class Network:
@@ -191,7 +163,7 @@ class ClassifierNet(Network):
 
     def __init__(self, descriptor, rng, dtype=np.float64):
         super().__init__(descriptor)
-        c_in, h, w = descriptor.input_shape
+        c_in = descriptor.input_shape[0]
         stages = descriptor.stages
         self.stem = Sequential(
             [Conv2d(c_in, stages[0].width, 3, padding=1, rng=rng, init="he",
@@ -200,11 +172,10 @@ class ClassifierNet(Network):
         )
         self.stage_chains = []
         self.downs = []
-        hw = [h, w]
         for i, s in enumerate(stages):
-            self.stage_chains.append(
-                _make_chain(s, hw, rng, dtype, descriptor.v0_policy, f"enc{i}")
-            )
+            self.stage_chains.append(build_chain(
+                {"kind": "conv", "channels": s.width}, s.blocks, s.gamma, s.mode,
+                rng, dtype, f"enc{i}"))
             if i + 1 < len(stages):
                 self.downs.append(
                     Sequential(
@@ -214,7 +185,6 @@ class ClassifierNet(Network):
                         name=f"down{i}",
                     )
                 )
-                hw = [hw[0] // 2, hw[1] // 2]
         self.head = Sequential(
             [GlobalAvgPool(),
              Linear(stages[-1].width, descriptor.num_classes, rng=rng, init="xavier",
@@ -251,7 +221,7 @@ class ClassifierNet(Network):
         for i in reversed(range(len(self.stage_chains))):
             if i < len(self.downs):
                 g = self.downs[i].backward(g)
-            g, _ = self.stage_chains[i].backward(g)
+            g = self.stage_chains[i].backward(g)
         g = self.stem.backward(g)
         self._pending = False
         return g
@@ -262,7 +232,7 @@ class SegmenterNet(Network):
 
     def __init__(self, descriptor, rng, dtype=np.float64):
         super().__init__(descriptor)
-        c_in, h, w = descriptor.input_shape
+        c_in = descriptor.input_shape[0]
         stages = descriptor.stages
         m = len(stages)
         self.stem = Sequential(
@@ -272,13 +242,10 @@ class SegmenterNet(Network):
         )
         self.enc_chains = []
         self.downs = []
-        hw = [h, w]
-        enc_hws = []
         for i, s in enumerate(stages):
-            enc_hws.append(list(hw))
-            self.enc_chains.append(
-                _make_chain(s, hw, rng, dtype, descriptor.v0_policy, f"enc{i}")
-            )
+            self.enc_chains.append(build_chain(
+                {"kind": "conv", "channels": s.width}, s.blocks, s.gamma, s.mode,
+                rng, dtype, f"enc{i}"))
             if i + 1 < m:
                 self.downs.append(
                     Sequential(
@@ -289,12 +256,12 @@ class SegmenterNet(Network):
                         name=f"down{i}",
                     )
                 )
-                hw = [hw[0] // 2, hw[1] // 2]
         self.ups = []
         self.fuses = []
         self.dec_chains = []
         for i in reversed(range(m - 1)):
-            wi = stages[i].width
+            s = stages[i]
+            wi = s.width
             self.ups.append(
                 Sequential(
                     [Upsample2(),
@@ -312,10 +279,9 @@ class SegmenterNet(Network):
                     name=f"fuse{i}",
                 )
             )
-            self.dec_chains.append(
-                _make_chain(stages[i], enc_hws[i], rng, dtype,
-                            descriptor.v0_policy, f"dec{i}")
-            )
+            self.dec_chains.append(build_chain(
+                {"kind": "conv", "channels": s.width}, s.blocks, s.gamma, s.mode,
+                rng, dtype, f"dec{i}"))
         self.head = Conv2d(stages[0].width, 1, 1, rng=rng, init="xavier",
                            dtype=dtype, name="head.conv")
         self._skips = None
@@ -369,7 +335,7 @@ class SegmenterNet(Network):
         g = self.head.backward(loss_grad)
         skip_grads = [None] * (m - 1)
         for j in reversed(range(m - 1)):
-            g, _ = self.dec_chains[j].backward(g)
+            g = self.dec_chains[j].backward(g)
             g = self.fuses[j].backward(g)
             half = g.shape[1] // 2
             skip_grads[m - 2 - j] = g[:, half:]
@@ -378,7 +344,7 @@ class SegmenterNet(Network):
             if i < m - 1:
                 g = self.downs[i].backward(g)
                 g = g + skip_grads[i]  # fan-out: down path + skip path
-            g, _ = self.enc_chains[i].backward(g)
+            g = self.enc_chains[i].backward(g)
         g = self.stem.backward(g)
         self._pending = False
         self._skips = None

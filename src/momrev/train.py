@@ -65,7 +65,10 @@ class TrainConfig:
     def descriptor(self) -> network_mod.NetworkDescriptor:
         if not self.network:
             raise ConfigError("network: descriptor is required")
-        return network_mod.NetworkDescriptor(**self.network)
+        try:
+            return network_mod.NetworkDescriptor(**self.network)
+        except TypeError as exc:  # unknown key in network or in a stage
+            raise ConfigError(f"network: {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)

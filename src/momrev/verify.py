@@ -18,7 +18,7 @@ import numpy as np
 from . import loss as loss_mod
 from . import metrics as metrics_mod
 from .layers import build_residual_function
-from .momentum import REVERSIBLE, STORED, MomentumBlock, MomentumChain, MomentumState
+from .momentum import REVERSIBLE, STORED, MomentumBlock, MomentumState, build_chain
 
 
 @dataclass
@@ -32,25 +32,13 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _make_chain(depth, gamma, mode, rng, kind="linear", dim=6, channels=2):
-    if kind == "linear":
-        desc = {"kind": "linear", "dim": dim}
-    else:
-        desc = {"kind": "conv", "channels": channels}
-    blocks = [
-        MomentumBlock(gamma, build_residual_function(desc, rng, np.float64, f"b{j}"), mode)
-        for j in range(depth)
-    ]
-    return MomentumChain(blocks, name="verify")
-
-
 def collect_grads(chain, x0, loss_weights):
     """Scalar loss <w, x_N>: returns (input grad, flat parameter grads)."""
     for p in chain.params():
         p.zero_grad()
     chain.clear()
-    out = chain.forward(x0.copy(), train=True)
-    gx, _ = chain.backward(loss_weights.copy())
+    chain.forward(x0.copy(), train=True)
+    gx = chain.backward(loss_weights.copy())
     pg = np.concatenate([p.grad.ravel() for p in chain.params()])
     return gx, pg
 
@@ -94,7 +82,6 @@ def suite_inversion_roundtrip(cases=100, gammas=(0.1, 0.5, 0.9, 1.0),
             block = MomentumBlock(
                 gamma,
                 build_residual_function({"kind": "conv", "channels": 2}, rng, np.float64),
-                REVERSIBLE,
             )
             s = MomentumState(rng.normal(size=(2, 4, 4)), rng.normal(size=(2, 4, 4)))
             s2 = block.forward(s)
@@ -109,7 +96,8 @@ def suite_chain_roundtrip(depth=10, gamma=0.9, cases=20, tol=1e-8, seed=12) -> V
     rng = _rng(seed)
     worst = 0.0
     for _ in range(cases):
-        chain = _make_chain(depth, gamma, REVERSIBLE, rng, kind="conv")
+        chain = build_chain({"kind": "conv", "channels": 2}, depth, gamma, REVERSIBLE,
+                            rng, name="verify")
         s = MomentumState(rng.normal(size=(2, 4, 4)), rng.normal(size=(2, 4, 4)))
         state = s
         for b in chain.blocks:
@@ -127,7 +115,7 @@ def suite_resnet_endpoint(cases=100, seed=13) -> VerifyResult:
     ok = True
     for _ in range(cases):
         f = build_residual_function({"kind": "conv", "channels": 2}, rng, np.float64)
-        block = MomentumBlock(0.0, f, STORED)
+        block = MomentumBlock(0.0, f)
         x = rng.normal(size=(2, 4, 4))
         v = rng.normal(size=(2, 4, 4))
         out = block.forward(MomentumState(x, v))
@@ -140,13 +128,13 @@ def suite_resnet_endpoint(cases=100, seed=13) -> VerifyResult:
 def suite_gradient_modes(depth=10, gamma=0.9, seeds=20, tol=1e-8, fd_tol=1e-6,
                          fd_cases=3) -> VerifyResult:
     """Stored vs reversible gradients, plus finite-difference spot checks."""
+    linear = {"kind": "linear", "dim": 6}
     worst_mode = 0.0
     worst_fd = 0.0
     for s in range(seeds):
         rng = _rng(1000 + s)
-        stored = _make_chain(depth, gamma, STORED, rng, kind="linear", dim=6)
-        rng2 = _rng(1000 + s)
-        rev = _make_chain(depth, gamma, REVERSIBLE, rng2, kind="linear", dim=6)
+        stored = build_chain(linear, depth, gamma, STORED, rng, name="verify")
+        rev = build_chain(linear, depth, gamma, REVERSIBLE, _rng(1000 + s), name="verify")
         x0 = _rng(2000 + s).normal(size=6)
         w = _rng(3000 + s).normal(size=6)
         gx_s, pg_s = collect_grads(stored, x0, w)

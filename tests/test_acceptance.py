@@ -14,13 +14,7 @@ import pytest
 from momrev import memprofile, metrics, network, train
 from momrev.layers import build_residual_function
 from momrev.loss import bce_with_logits, cross_entropy, hybrid_loss, soft_dice_loss
-from momrev.momentum import (
-    REVERSIBLE,
-    STORED,
-    MomentumBlock,
-    MomentumChain,
-    MomentumState,
-)
+from momrev.momentum import REVERSIBLE, STORED, MomentumBlock, MomentumState, build_chain
 from momrev.verify import (
     fd_grad,
     oracle_hausdorff,
@@ -36,19 +30,14 @@ def report(name, passed, detail):
     assert passed, f"{name}: {detail}"
 
 
-def conv_block(gamma, r, mode=REVERSIBLE):
+def conv_block(gamma, r):
     f = build_residual_function({"kind": "conv", "channels": 2}, r, np.float64)
-    return MomentumBlock(gamma, f, mode)
+    return MomentumBlock(gamma, f)
 
 
 def linear_chain(depth, gamma, mode, seed):
-    r = rng(seed)
-    blocks = [
-        MomentumBlock(gamma, build_residual_function({"kind": "linear", "dim": 6},
-                                                     r, np.float64, f"b{j}"), mode)
-        for j in range(depth)
-    ]
-    return MomentumChain(blocks, name="acc")
+    return build_chain({"kind": "linear", "dim": 6}, depth, gamma, mode, rng(seed),
+                       name="acc")
 
 
 def test_inversion_round_trip():
@@ -87,7 +76,7 @@ def test_plain_residual_endpoint_bit_exact():
     exact = True
     for _ in range(100):
         f = build_residual_function({"kind": "conv", "channels": 2}, r, np.float64)
-        block = MomentumBlock(0.0, f, STORED)
+        block = MomentumBlock(0.0, f)
         x, v = r.normal(size=(2, 4, 4)), r.normal(size=(2, 4, 4))
         out = block.forward(MomentumState(x, v))
         exact &= np.array_equal(out.x, x + f.forward(x, train=False))
@@ -100,7 +89,7 @@ def _chain_grads(chain, x0, w):
         p.zero_grad()
     chain.clear()
     chain.forward(x0.copy(), train=True)
-    gx, _ = chain.backward(w.copy())
+    gx = chain.backward(w.copy())
     return gx, np.concatenate([p.grad.ravel() for p in chain.params()])
 
 

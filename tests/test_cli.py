@@ -186,7 +186,11 @@ def test_repeat_runs_bit_identical(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_eval_missing_checkpoint_exit_code(tmp_path, capsys):
+def test_eval_missing_checkpoint_exit_code(tmp_path, capsys, monkeypatch):
+    def no_dataset(cfg):
+        raise AssertionError("dataset loaded before the checkpoint was opened")
+
+    monkeypatch.setattr(cli.train_mod, "load_splits", no_dataset)
     cfg_path = tiny_seg_config(tmp_path)
     code, _, err = run(["eval", "--config", str(cfg_path),
                         "--checkpoint", str(tmp_path / "nowhere" / "ck")], capsys)
@@ -208,3 +212,21 @@ def test_reversible_gamma_zero_config_exit_code(tmp_path, capsys):
     code, _, err = run(["train", "--config", str(cfg_path)], capsys)
     assert code == 2
     assert err.startswith("config error:")
+
+
+def _stage(**extra):
+    return dict(width=4, blocks=1, **extra)
+
+
+@pytest.mark.parametrize("network", [
+    dict(task="segmentation", input_shape=[1, 16, 16], stages=[_stage()], bogus=1),
+    dict(task="segmentation", input_shape=[1, 16, 16], stages=[_stage(bogus=1)]),
+    dict(task="segmentation", input_shape=[1, 8, 8], stages=[_stage()]),
+    dict(task="classification", input_shape=[1, 16, 16], stages=[_stage()]),
+], ids=["unknown-network-key", "unknown-stage-key", "input-shape-vs-data-hw",
+        "classifier-under-segmentation"])
+def test_inconsistent_network_config_exit_code(tmp_path, capsys, network):
+    cfg_path = tiny_seg_config(tmp_path, network=network)
+    code, _, err = run(["train", "--config", str(cfg_path)], capsys)
+    assert code == 2
+    assert err.startswith("config error:") and len(err.splitlines()) == 1

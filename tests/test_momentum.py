@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momrev.errors import NotInvertibleError, StateError
+from momrev.errors import ConfigError, NotInvertibleError, StateError
 from momrev.layers import Linear, Sequential, build_residual_function
 from momrev.momentum import (
     REVERSIBLE,
@@ -75,7 +75,7 @@ def test_inverse_gamma_one_keeps_velocity():
 def test_roundtrip_100_cases(gamma):
     worst = 0.0
     for seed in range(100):
-        block = MomentumBlock(gamma, conv_f(seed), REVERSIBLE)
+        block = MomentumBlock(gamma, conv_f(seed))
         r = rng(20_000 + seed)
         s = MomentumState(r.normal(size=(2, 4, 4)), r.normal(size=(2, 4, 4)))
         back = block.inverse(block.forward(s))
@@ -86,7 +86,7 @@ def test_roundtrip_100_cases(gamma):
 @given(st.floats(0.05, 1.0), st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_roundtrip_property(gamma, seed):
-    block = MomentumBlock(gamma, conv_f(seed), REVERSIBLE)
+    block = MomentumBlock(gamma, conv_f(seed))
     r = rng(seed)
     s = MomentumState(r.normal(size=(2, 4, 4)), r.normal(size=(2, 4, 4)))
     back = block.inverse(block.forward(s))
@@ -96,11 +96,18 @@ def test_roundtrip_property(gamma, seed):
 
 def test_reversible_requires_positive_gamma():
     with pytest.raises(NotInvertibleError):
-        MomentumBlock(0.0, zero_f(), REVERSIBLE)
+        MomentumChain([MomentumBlock(0.0, zero_f())], REVERSIBLE)
     with pytest.raises(NotInvertibleError):
-        MomentumBlock(0.0, zero_f(), STORED).inverse(
-            MomentumState(np.zeros(1), np.zeros(1))
-        )
+        MomentumBlock(0.0, zero_f()).inverse(MomentumState(np.zeros(1), np.zeros(1)))
+
+
+def test_reversible_chain_rejects_any_gamma_zero_block_at_construction():
+    blocks = [MomentumBlock(0.9, zero_f()), MomentumBlock(0.0, zero_f())]
+    with pytest.raises(NotInvertibleError):
+        MomentumChain(blocks, mode=REVERSIBLE)
+    assert MomentumChain(blocks, mode=STORED).mode == STORED
+    with pytest.raises(ConfigError):
+        MomentumChain(blocks, mode="checkpointed")
 
 
 # chains
@@ -123,8 +130,8 @@ def test_chain_modes_agree_bitwise():
     x0 = rng(31).normal(size=(2, 4, 4))
     finals = []
     for mode in (STORED, REVERSIBLE):
-        blocks = [MomentumBlock(0.9, conv_f(40 + j), mode) for j in range(10)]
-        finals.append(MomentumChain(blocks).forward(x0.copy(), train=True))
+        blocks = [MomentumBlock(0.9, conv_f(40 + j)) for j in range(10)]
+        finals.append(MomentumChain(blocks, mode).forward(x0.copy(), train=True))
     assert np.array_equal(finals[0].x, finals[1].x)
     assert np.array_equal(finals[0].v, finals[1].v)
 
@@ -133,7 +140,8 @@ def test_chain_backward_frozen_zero_f():
     block = MomentumBlock(0.7, zero_f())
     chain = MomentumChain([block])
     chain.forward(np.array([1.0]), train=True)
-    gx, gv = chain.backward(np.array([1.0]), np.array([0.0]))
+    assert chain.backward(np.array([1.0])) == pytest.approx([1.0])
+    gx, gv = block.backward_step(np.array([1.0]), np.array([1.0]), np.array([0.0]))
     assert gx == pytest.approx([1.0])
     assert gv == pytest.approx([0.7])
 
@@ -143,7 +151,7 @@ def test_chain_backward_resnet_endpoint_grads():
     block = MomentumBlock(0.0, scaled_identity_f(w=2.0))
     chain = MomentumChain([block])
     chain.forward(np.array([3.0]), train=True)
-    gx, _ = chain.backward(np.array([1.0]))
+    gx = chain.backward(np.array([1.0]))
     assert gx == pytest.approx([3.0])
     w_param = block.f.layers[0].w
     assert w_param.grad[0, 0] == pytest.approx(3.0)
@@ -154,11 +162,10 @@ def _linear_chain(depth, gamma, mode, seed, dim=6):
         MomentumBlock(
             gamma,
             build_residual_function({"kind": "linear", "dim": dim}, rng(seed * 100 + j)),
-            mode,
         )
         for j in range(depth)
     ]
-    return MomentumChain(blocks)
+    return MomentumChain(blocks, mode)
 
 
 def _grads(chain, x0, w):
@@ -166,7 +173,7 @@ def _grads(chain, x0, w):
         p.zero_grad()
     chain.clear()
     chain.forward(x0.copy(), train=True)
-    gx, _ = chain.backward(w.copy())
+    gx = chain.backward(w.copy())
     return gx, np.concatenate([p.grad.ravel() for p in chain.params()])
 
 
@@ -205,7 +212,7 @@ def test_float32_roundtrip_error_documented():
     for j in range(10):
         f = build_residual_function({"kind": "conv", "channels": 2}, rng(700 + j),
                                     dtype=np.float32)
-        blocks.append(MomentumBlock(0.9, f, REVERSIBLE))
+        blocks.append(MomentumBlock(0.9, f))
     s = MomentumState(r.normal(size=(2, 4, 4)).astype(np.float32),
                       r.normal(size=(2, 4, 4)).astype(np.float32))
     state = s
@@ -215,13 +222,3 @@ def test_float32_roundtrip_error_documented():
         state = b.inverse(state)
     err = max(np.abs(state.x - s.x).max(), np.abs(state.v - s.v).max())
     assert err <= 1e-3
-
-
-def test_learned_v0_gets_gradient():
-    chain = MomentumChain([MomentumBlock(0.5, zero_f(3))], v0_policy="learned",
-                          state_shape=(3,))
-    chain.v0.value[...] = [0.1, 0.2, 0.3]
-    out = chain.forward(np.zeros(3), train=True)
-    assert out.v == pytest.approx([0.05, 0.1, 0.15])
-    chain.backward(np.ones(3))
-    assert chain.v0.grad == pytest.approx([0.5, 0.5, 0.5])

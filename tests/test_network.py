@@ -210,10 +210,3 @@ def test_descriptor_validation():
     with pytest.raises(ConfigError):
         network.NetworkDescriptor(task="classification", input_shape=(1, 8, 8),
                                   stages=[])
-
-
-def test_descriptor_json_roundtrip():
-    desc = seg_descriptor()
-    back = network.NetworkDescriptor.from_json(desc.to_json())
-    assert back.input_shape == desc.input_shape
-    assert [s.width for s in back.stages] == [s.width for s in desc.stages]
