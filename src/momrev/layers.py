@@ -79,10 +79,8 @@ class Layer:
 
 
 class Linear(Layer):
-    def __init__(self, d_in, d_out, rng=None, init="xavier", dtype=np.float64, name="linear"):
-        if rng is None:
-            w = np.zeros((d_out, d_in), dtype=dtype)
-        elif init == "he":
+    def __init__(self, d_in, d_out, rng, init="xavier", dtype=np.float64, name="linear"):
+        if init == "he":
             w = he_uniform(rng, (d_out, d_in), d_in, dtype)
         else:
             w = xavier_uniform(rng, (d_out, d_in), d_in, d_out, dtype)
@@ -110,14 +108,12 @@ class Linear(Layer):
 
 
 class Conv2d(Layer):
-    def __init__(self, c_in, c_out, k, stride=1, padding=0, rng=None, init="xavier",
+    def __init__(self, c_in, c_out, k, stride=1, padding=0, *, rng, init="xavier",
                  dtype=np.float64, name="conv"):
         fan_in = c_in * k * k
         fan_out = c_out * k * k
         shape = (c_out, c_in, k, k)
-        if rng is None:
-            w = np.zeros(shape, dtype=dtype)
-        elif init == "he":
+        if init == "he":
             w = he_uniform(rng, shape, fan_in, dtype)
         else:
             w = xavier_uniform(rng, shape, fan_in, fan_out, dtype)

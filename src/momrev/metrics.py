@@ -131,9 +131,6 @@ class SegmentationReport:
         means.append(float(finite_hd.mean()) if len(finite_hd) else math.inf)
         return means
 
-    def row(self):
-        return dict(zip(SEG_COLUMNS, self.means))
-
 
 def evaluate_masks(preds: list, gts: list, hd_variant: str = "max") -> SegmentationReport:
     rows = []

@@ -116,9 +116,6 @@ class Network:
             raise ConfigError("duplicate parameter registration")
         return out
 
-    def parameter_count(self) -> int:
-        return sum(p.value.size for p in self.params())
-
     def zero_grad(self):
         for p in self.params():
             p.zero_grad()

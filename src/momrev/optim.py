@@ -54,22 +54,19 @@ class Adam:
 
 
 class EarlyStopper:
-    """Stops after `patience` consecutive epochs without strict improvement."""
+    """Stops after `patience` consecutive epochs without a strict decrease
+    of the metric."""
 
-    def __init__(self, patience: int, mode: str = "min"):
-        if mode not in ("min", "max"):
-            raise ValueError(f"mode must be min or max, got {mode!r}")
+    def __init__(self, patience: int):
         self.patience = patience
-        self.mode = mode
-        self.best = math.inf if mode == "min" else -math.inf
+        self.best = math.inf
         self.since_best = 0
 
     def update(self, metric: float) -> bool:
         """Returns True when training should stop."""
         if not math.isfinite(metric):
             raise NumericError("early-stop metric is non-finite")
-        improved = metric < self.best if self.mode == "min" else metric > self.best
-        if improved:
+        if metric < self.best:
             self.best = metric
             self.since_best = 0
             return False

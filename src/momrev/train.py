@@ -13,8 +13,12 @@ from . import data as data_mod
 from . import loss as loss_mod
 from . import metrics as metrics_mod
 from . import network as network_mod
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .optim import Adam, EarlyStopper
+
+# seeds the train/val/test cut apart from `seed`, so a `dir` dataset is
+# split the same way whatever seed a run trains with
+SPLIT_SEED = 7
 
 
 @dataclass
@@ -32,7 +36,6 @@ class TrainConfig:
     network: dict = field(default_factory=dict)
     data: DataConfig = field(default_factory=DataConfig)
     seed: int = 7
-    split_seed: int = 7
     dtype: str = "float32"
     lr: float = 1e-4
     batch_size: int = 16
@@ -42,7 +45,6 @@ class TrainConfig:
     bce_weight: float = 1.0
     dice_weight: float = 1.0
     dice_smooth: float = 1.0
-    early_stop_metric: str = "val_loss"  # val_loss | val_dice | val_accuracy
     eval_threshold: float = 0.5
     hd_variant: str = "max"
     out_dir: str = "runs/run"
@@ -56,8 +58,6 @@ class TrainConfig:
             raise ConfigError(f"dtype: must be float32/float64, got {self.dtype!r}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
-        if self.early_stop_metric not in ("val_loss", "val_dice", "val_accuracy"):
-            raise ConfigError(f"early_stop_metric: unknown {self.early_stop_metric!r}")
 
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
@@ -126,10 +126,10 @@ def load_dataset(cfg: TrainConfig) -> list[data_mod.Sample]:
 
 
 def load_splits(cfg: TrainConfig):
-    """The dataset cut by `cfg.split_seed`: (manifest, {split name: samples})."""
+    """The dataset cut by `SPLIT_SEED`: (manifest, {split name: samples})."""
     samples = load_dataset(cfg)
     by_id = {s.id: s for s in samples}
-    manifest = data_mod.split([s.id for s in samples], cfg.split_seed)
+    manifest = data_mod.split([s.id for s in samples], SPLIT_SEED)
     sets = {name: [by_id[i] for i in getattr(manifest, name)]
             for name in ("train", "val", "test")}
     return manifest, sets
@@ -184,40 +184,39 @@ def evaluate_split(cfg: TrainConfig, net, samples):
     return {"loss": mean_loss, "Accuracy": acc, "MCC": mcc, "confusion": confusion}
 
 
-def _primary_metric(cfg, val):
-    if cfg.early_stop_metric == "val_loss":
-        return val["loss"], "min"
-    if cfg.early_stop_metric == "val_dice":
-        return val["mDSC"], "max"
-    return val["Accuracy"], "max"
-
-
 def train(cfg: TrainConfig, out_dir=None):
-    """Run one training episode; returns a result dict.
+    """Run one training episode, early-stopped on validation loss; returns
+    a result dict.
 
-    Writes into out_dir: resolved config, best checkpoint, per-epoch CSV
-    log. The best checkpoint is flushed whenever it improves so a numeric
-    abort still leaves the last good one on disk.
+    Builds the network and the dataset and checks that they fit the task
+    and each other before it writes anything, so a rejected config leaves
+    no run directory. Then writes into out_dir: resolved config, split,
+    best checkpoint, per-epoch CSV log. The best checkpoint is flushed
+    whenever it improves so a numeric abort still leaves the last good
+    one on disk.
     """
+    dtype = cfg.np_dtype()
+    descriptor = cfg.descriptor()
+    if descriptor.task != cfg.task:
+        raise ConfigError(f"network: task {descriptor.task!r} under a {cfg.task} run")
+    net = network_mod.build(descriptor, seed=cfg.seed, dtype=dtype)
+    manifest, sets = load_splits(cfg)
+    train_set, val_set, test_set = sets["train"], sets["val"], sets["test"]
+    if train_set[0].image.shape != descriptor.input_shape:
+        raise ShapeError(f"network input_shape {descriptor.input_shape} does not fit "
+                         f"the data's images of shape {train_set[0].image.shape}")
+
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(cfg.to_json())
-
-    dtype = cfg.np_dtype()
-    manifest, sets = load_splits(cfg)
     (out / "split.json").write_text(manifest.to_json())
-    train_set, val_set, test_set = sets["train"], sets["val"], sets["test"]
-
-    net = network_mod.build(cfg.descriptor(), seed=cfg.seed, dtype=dtype)
     opt = Adam(net.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     ckpt_path = out / "checkpoint"
     net.save(ckpt_path)  # initial weights; overwritten on improvement
 
     log_rows = ["epoch,train_loss,val_loss,val_metric"]
-    stopper = None
-    history = []
+    stopper = EarlyStopper(cfg.patience)
     shuffle_rng = np.random.Generator(np.random.Philox(cfg.seed))
-    mode_known = None
     for epoch in range(cfg.epochs):
         order = np.arange(len(train_set))
         shuffle_rng.shuffle(order)
@@ -232,16 +231,10 @@ def train(cfg: TrainConfig, out_dir=None):
             epoch_loss += lv.total * len(chunk)
         epoch_loss /= len(train_set)
         val = evaluate_split(cfg, net, val_set)
-        metric, mode = _primary_metric(cfg, val)
-        if stopper is None:
-            stopper = EarlyStopper(cfg.patience, mode=mode)
-            mode_known = mode
-        should_stop = stopper.update(metric)
+        should_stop = stopper.update(val["loss"])
         if stopper.is_best:
             net.save(ckpt_path)
-        log_rows.append(f"{epoch},{epoch_loss:.6f},{val['loss']:.6f},{metric:.6f}")
-        history.append({"epoch": epoch, "train_loss": epoch_loss,
-                        "val_loss": val["loss"], "val_metric": metric})
+        log_rows.append(f"{epoch},{epoch_loss:.6f},{val['loss']:.6f},{val['loss']:.6f}")
         if should_stop:
             break
     (out / "train_log.csv").write_text("\n".join(log_rows) + "\n")
@@ -249,6 +242,4 @@ def train(cfg: TrainConfig, out_dir=None):
     # evaluate the best checkpoint on the test split
     net.load(ckpt_path)
     test = evaluate_split(cfg, net, test_set)
-    return {"net": net, "out_dir": out, "history": history, "test": test,
-            "splits": manifest, "checkpoint": ckpt_path,
-            "val_mode": mode_known}
+    return {"out_dir": out, "test": test, "checkpoint": ckpt_path}

@@ -3,9 +3,10 @@ residual endpoint, stored-vs-reversible gradient agreement, finite
 difference checks on losses and layers, and metric oracles.
 
 Each suite returns a VerifyResult; `run_all` is what the CLI's verify
-subcommand executes. The oracles here are deliberately naive (explicit
-loops, set arithmetic, central differences) and share no code with the
-implementations they check.
+subcommand executes. Chains, layers and losses run in float64 here.
+The oracles are deliberately naive (explicit loops, set arithmetic,
+central differences) and share no code with the implementations they
+check.
 """
 
 from __future__ import annotations
@@ -284,7 +285,7 @@ def suite_metric_oracles(cases=200, seed=19) -> VerifyResult:
                         f"all exact; max MCC dev = {worst_mcc:.2e}")
 
 
-def run_all(depth=10, gamma=0.9, dtype="f64") -> list[VerifyResult]:
+def run_all(depth=10, gamma=0.9) -> list[VerifyResult]:
     results = [suite_inversion_roundtrip(), suite_resnet_endpoint()]
     if gamma > 0.0:
         # inversion-based sweeps need gamma > 0; the plain residual

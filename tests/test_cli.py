@@ -90,16 +90,21 @@ def test_verify_passes(capsys):
     assert lines and all(l.startswith("PASS ") for l in lines)
 
 
-def test_verify_gamma_zero_reversible_fails(capsys):
-    code, out, _ = run(["verify", "--gamma", "0", "--mode", "reversible"], capsys)
-    assert code == 1
-    assert out.startswith("FAIL precondition")
-
-
 def test_verify_gamma_zero_stored_passes(capsys):
-    code, out, _ = run(["verify", "--gamma", "0", "--mode", "stored", "--depth", "3"],
-                       capsys)
+    code, out, _ = run(["verify", "--gamma", "0", "--depth", "3"], capsys)
     assert code == 0
+    lines = [l for l in out.splitlines() if l]
+    assert len(lines) == 4 and all(l.startswith("PASS ") for l in lines)
+    assert not any("chain_roundtrip" in l or "gradient_modes" in l for l in lines)
+
+
+@pytest.mark.parametrize("flags", [["--mode", "stored"], ["--dtype", "f32"]],
+                         ids=["mode", "dtype"])
+def test_verify_has_no_mode_or_dtype_flag(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", *flags])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_memprofile_csv(tmp_path, capsys):
@@ -153,23 +158,15 @@ def test_missing_data_dir_exit_code(tmp_path, capsys):
     assert "data error" in err
 
 
-def test_seed_env_override(tmp_path, capsys, monkeypatch):
-    cfg_path = tiny_seg_config(tmp_path, epochs=0)
-    monkeypatch.setenv("MOMENTUM_SEED", "123")
-    code, _, _ = run(["train", "--config", str(cfg_path),
-                      "--out", str(tmp_path / "env_run")], capsys)
-    assert code == 0
-    resolved = json.loads((tmp_path / "env_run" / "config.json").read_text())
-    assert resolved["seed"] == 123
-
-
 def test_flag_overrides_written_to_resolved_config(tmp_path, capsys):
     cfg_path = tiny_seg_config(tmp_path, epochs=0)
     code, _, _ = run(["train", "--config", str(cfg_path), "--lr", "0.5",
-                      "--batch-size", "4", "--out", str(tmp_path / "ovr")], capsys)
+                      "--batch-size", "4", "--seed", "123",
+                      "--out", str(tmp_path / "ovr")], capsys)
     assert code == 0
     resolved = json.loads((tmp_path / "ovr" / "config.json").read_text())
     assert resolved["lr"] == 0.5 and resolved["batch_size"] == 4
+    assert resolved["seed"] == 123
 
 
 def test_repeat_runs_bit_identical(tmp_path, capsys):
@@ -212,6 +209,7 @@ def test_reversible_gamma_zero_config_exit_code(tmp_path, capsys):
     code, _, err = run(["train", "--config", str(cfg_path)], capsys)
     assert code == 2
     assert err.startswith("config error:")
+    assert not (tmp_path / "run").exists()
 
 
 def _stage(**extra):
@@ -230,3 +228,4 @@ def test_inconsistent_network_config_exit_code(tmp_path, capsys, network):
     code, _, err = run(["train", "--config", str(cfg_path)], capsys)
     assert code == 2
     assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()

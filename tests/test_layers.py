@@ -24,14 +24,14 @@ def test_relu_backward_tie_at_zero():
 
 
 def test_linear_identity():
-    layer = layers.Linear(2, 2)
+    layer = layers.Linear(2, 2, rng=rng(0))
     layer.w.value[...] = np.eye(2)
     out = layer.forward(np.array([3.0, 5.0]))
     assert np.array_equal(out, np.array([3.0, 5.0]))
 
 
 def test_linear_backward_scalar_chain_rule():
-    layer = layers.Linear(1, 1)
+    layer = layers.Linear(1, 1, rng=rng(0))
     layer.w.value[...] = [[2.0]]
     layer.forward(np.array([1.5]))
     gx = layer.backward(np.array([3.0]))
@@ -91,7 +91,9 @@ def test_layer_gradients_match_finite_differences(case):
 
 
 def test_residual_function_zero_weights_is_zero():
-    f = layers.build_residual_function({"kind": "conv", "channels": 2}, rng=None)
+    f = layers.build_residual_function({"kind": "conv", "channels": 2}, rng=rng(0))
+    for p in f.params():
+        p.value[...] = 0.0
     x = rng(5).normal(size=(2, 4, 4))
     assert np.array_equal(f.forward(x, train=False), np.zeros_like(x))
 
@@ -142,8 +144,8 @@ def test_checkpoint_roundtrip(tmp_path):
     for p in params:
         assert np.array_equal(loaded[p.name], p.value)
     # round-trip through assign
-    conv2 = layers.Conv2d(2, 3, 3, name="c")
-    lin2 = layers.Linear(4, 2, name="l")
+    conv2 = layers.Conv2d(2, 3, 3, rng=rng(7), name="c")
+    lin2 = layers.Linear(4, 2, rng=rng(7), name="l")
     layers.assign_checkpoint(conv2.params() + lin2.params(), loaded)
     assert np.array_equal(conv2.w.value, conv.w.value)
 
@@ -151,7 +153,7 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_shape_mismatch(tmp_path):
     lin = layers.Linear(3, 2, rng=rng(0), name="l")
     layers.save_checkpoint(tmp_path / "ckpt", lin.params())
-    other = layers.Linear(4, 2, name="l")
+    other = layers.Linear(4, 2, rng=rng(1), name="l")
     with pytest.raises(ConfigError):
         layers.assign_checkpoint(other.params(), layers.load_checkpoint(tmp_path / "ckpt"))
 
@@ -175,6 +177,6 @@ def test_checkpoint_survives_crash_during_write(tmp_path, monkeypatch):
         layers.save_checkpoint(tmp_path / "ckpt", lin.params())
     monkeypatch.undo()
     assert (tmp_path / "ckpt.bin").read_bytes() == before
-    restored = layers.Linear(3, 2, name="l")
+    restored = layers.Linear(3, 2, rng=rng(1), name="l")
     layers.assign_checkpoint(restored.params(), layers.load_checkpoint(tmp_path / "ckpt"))
     assert np.array_equal(restored.w.value, saved_w)

@@ -17,11 +17,13 @@ from util import rng
 
 
 def zero_f(dim=1):
-    return Sequential([Linear(dim, dim, name="z")], name="zero")
+    lin = Linear(dim, dim, rng(0), name="z")
+    lin.w.value[...] = 0.0
+    return Sequential([lin], name="zero")
 
 
 def scaled_identity_f(dim=1, w=1.0):
-    lin = Linear(dim, dim, name="s")
+    lin = Linear(dim, dim, rng(0), name="s")
     lin.w.value[...] = np.eye(dim) * w
     return Sequential([lin], name="scaled")
 

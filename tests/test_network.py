@@ -181,7 +181,6 @@ def test_parameter_names_unique_and_count():
     params = net.params()
     names = [p.name for p in params]
     assert len(names) == len(set(names))
-    assert net.parameter_count() == sum(p.value.size for p in params)
 
 
 def test_backward_without_forward():

@@ -70,32 +70,24 @@ def test_bitwise_repeatability():
 
 
 def test_patience_counting():
-    s = EarlyStopper(patience=2, mode="min")
+    s = EarlyStopper(patience=2)
     decisions = [s.update(m) for m in [1.0, 0.9, 0.95, 0.99]]
     assert decisions == [False, False, False, True]
 
 
 def test_monotone_improvement_never_stops():
-    s = EarlyStopper(patience=0, mode="min")
+    s = EarlyStopper(patience=0)
     assert not any(s.update(1.0 / (k + 1)) for k in range(50))
 
 
 def test_patience_zero_stops_on_first_plateau():
-    s = EarlyStopper(patience=0, mode="min")
+    s = EarlyStopper(patience=0)
     assert not s.update(1.0)
     assert s.update(1.0)
 
 
-def test_max_mode():
-    s = EarlyStopper(patience=2, mode="max")
-    assert not s.update(0.5)
-    assert not s.update(0.6)
-    assert not s.update(0.55)
-    assert s.update(0.55)
-
-
 def test_is_best_flag():
-    s = EarlyStopper(patience=5, mode="min")
+    s = EarlyStopper(patience=5)
     s.update(1.0)
     assert s.is_best
     s.update(2.0)
