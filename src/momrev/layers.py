@@ -142,8 +142,11 @@ class Conv2d(Layer):
         b, _, oh, ow = gyb.shape
         h, w = xb.shape[2:]
         # weight grads, then input grads: each pass holds one copy of gy,
-        # and the taps accumulate in the same order as one joint loop
-        xp = tensor.channels_last(xb, p)
+        # and the taps accumulate in the same order as one joint loop. Both use
+        # the forward's rows (tensor.flat_padded): offset (i, j) starts at i*W' + j
+        xf, hp, wp = tensor.flat_padded(xb, p, kh, kw)
+        n = b * hp * wp
+        xp = xf[:n].reshape(b, hp, wp, ci)
         gy_by_channel = gyb.transpose(1, 0, 2, 3).reshape(co, -1)
         for i in range(kh):
             for j in range(kw):
@@ -151,16 +154,23 @@ class Conv2d(Layer):
                     gy_by_channel, tensor.patch_rows(xp, i, j, s, oh, ow)
                 )
         del xp, gy_by_channel
-        gy_rows = gyb.transpose(0, 2, 3, 1).reshape(-1, co)
-        gxp = np.zeros((b, h + 2 * p, w + 2 * p, ci), dtype=xb.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, i : i + s * oh : s, j : j + s * ow : s, :] += np.dot(
-                    gy_rows, self.w.value[:, :, i, j]
-                ).reshape(b, oh, ow, ci)
+        gxf = xf  # the input gradient has the input's rows: reuse the buffer
+        gxf[...] = 0
+        # gy sits on the padded grid at the output anchors, zero elsewhere, so
+        # each offset's contribution is one contiguous add. Half the batch at a
+        # time halves that grid and its products, which set a train step's peak
+        # memory; a half's slices reach past its images only with zero rows.
+        for lo, hi in ((0, b // 2), (b // 2, b)):
+            gy_rows = np.zeros((hi - lo, hp, wp, co), dtype=gyb.dtype)
+            gy_rows[:, : s * oh : s, : s * ow : s, :] = gyb[lo:hi].transpose(0, 2, 3, 1)
+            gy_rows = gy_rows.reshape(-1, co)
+            for i in range(kh):
+                for j in range(kw):
+                    off = lo * hp * wp + i * wp + j
+                    gxf[off : off + len(gy_rows)] += np.dot(gy_rows, self.w.value[:, :, i, j])
         del gy_rows
         self.b.grad += gyb.sum(axis=(0, 2, 3))
-        gxp = gxp.transpose(0, 3, 1, 2).copy()
+        gxp = gxf[:n].reshape(b, hp, wp, ci).transpose(0, 3, 1, 2).copy()
         gx = gxp[:, :, p : p + h, p : p + w] if p else gxp
         return gx[0] if squeeze else gx
 

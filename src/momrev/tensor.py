@@ -3,7 +3,9 @@
 Tensors are plain numpy arrays (row-major, channels-first for images).
 float64 is the verification default; float32 is used for training speed.
 This module holds the convolution kernel that layers.Conv2d runs on, its
-geometry check, and tensor serialization.
+geometry check, and tensor serialization. The kernel works on one flat
+padded buffer (`flat_padded`) in which each kernel offset is a contiguous
+row slice, so the forward and the input gradient copy no patches.
 """
 
 from __future__ import annotations
@@ -37,34 +39,44 @@ def conv2d_output_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int
 def conv2d_batched(inp: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Batched cross-correlation, B x C_in x H x W -> B x C_out x H' x W'.
 
-    Accumulates one strided matrix product per kernel offset; fast enough
-    at desk scale and easy to differentiate (see layers.Conv2d.backward).
+    One matrix product per kernel offset over the whole padded grid (see
+    `flat_padded`): output row r of the grid sums, over offsets (i, j), row
+    r + i*W' + j of the input times that offset's kernel. Rows anchored in
+    the padding, and off the stride, are then dropped.
     """
     b, c_in, h, w = inp.shape
     c_out, kc, kh, kw = kernels.shape
     if kc != c_in:
         raise ShapeError(f"conv2d channel mismatch: input {c_in}, kernels {kc}")
     oh, ow = conv2d_output_hw(h, w, kh, kw, stride, padding)
-    xp = channels_last(inp, padding)
-    out = np.zeros((b, oh, ow, c_out), dtype=inp.dtype)
+    xf, hp, wp = flat_padded(inp, padding, kh, kw)
+    n = b * hp * wp
+    out = np.zeros((n, c_out), dtype=inp.dtype)
     for i in range(kh):
         for j in range(kw):
-            # (b*oh*ow, c_in) x (c_in, c_out) -> (b, oh, ow, c_out)
-            out += np.dot(patch_rows(xp, i, j, stride, oh, ow), kernels[:, :, i, j].T).reshape(
-                out.shape
-            )
-    del xp  # free the padded copy before the layout copy, so peak memory stays put
+            off = i * wp + j
+            # (n, c_in) x (c_in, c_out), one contiguous slice per offset
+            out += np.dot(xf[off : off + n], kernels[:, :, i, j].T)
+    del xf  # free the padded copy before the layout copy, so peak memory stays put
+    out = out.reshape(b, hp, wp, c_out)[:, : stride * oh : stride, : stride * ow : stride]
     return out.transpose(0, 3, 1, 2).copy()
 
 
-def channels_last(inp: Tensor, padding: int) -> Tensor:
-    """B x C x H x W -> zero-padded B x H' x W' x C, so that each kernel
-    offset's patch is gathered in rows of C contiguous values."""
+def flat_padded(inp: Tensor, padding: int, kh: int, kw: int):
+    """B x C x H x W -> ((B*H'*W' + tail) x C rows, H', W'): the zero-padded
+    input, channels-last, flattened over (B, H', W').
+
+    Kernel offset (i, j) reads the contiguous rows starting at i*W' + j; the
+    `tail = (kh-1)*W' + (kw-1)` zero rows keep every such slice in bounds.
+    The first B*H'*W' rows reshape to the padded B x H' x W' x C image.
+    """
     b, c, h, w = inp.shape
     p = padding
-    xp = np.zeros((b, h + 2 * p, w + 2 * p, c), dtype=inp.dtype)
-    xp[:, p : p + h, p : p + w, :] = inp.transpose(0, 2, 3, 1)
-    return xp
+    hp, wp = h + 2 * p, w + 2 * p
+    n = b * hp * wp
+    xf = np.zeros((n + (kh - 1) * wp + (kw - 1), c), dtype=inp.dtype)
+    xf[:n].reshape(b, hp, wp, c)[:, p : p + h, p : p + w, :] = inp.transpose(0, 2, 3, 1)
+    return xf, hp, wp
 
 
 def patch_rows(xp: Tensor, i: int, j: int, stride: int, oh: int, ow: int) -> Tensor:

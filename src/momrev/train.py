@@ -14,6 +14,7 @@ from . import loss as loss_mod
 from . import metrics as metrics_mod
 from . import network as network_mod
 from .errors import ConfigError, ShapeError
+from .layers import _replace_file
 from .optim import Adam, EarlyStopper
 
 # seeds the train/val/test cut apart from `seed`, so a `dir` dataset is
@@ -192,8 +193,8 @@ def train(cfg: TrainConfig, out_dir=None):
     and each other before it writes anything, so a rejected config leaves
     no run directory. Then writes into out_dir: resolved config, split,
     best checkpoint, per-epoch CSV log. The best checkpoint is flushed
-    whenever it improves so a numeric abort still leaves the last good
-    one on disk.
+    whenever it improves and the log after every epoch, so a numeric abort
+    still leaves the last good checkpoint and the epochs before it on disk.
     """
     dtype = cfg.np_dtype()
     descriptor = cfg.descriptor()
@@ -214,7 +215,9 @@ def train(cfg: TrainConfig, out_dir=None):
     ckpt_path = out / "checkpoint"
     net.save(ckpt_path)  # initial weights; overwritten on improvement
 
-    log_rows = ["epoch,train_loss,val_loss,val_metric"]
+    log_path = out / "train_log.csv"
+    log = "epoch,train_loss,val_loss\n"
+    _replace_file(log_path, log.encode())
     stopper = EarlyStopper(cfg.patience)
     shuffle_rng = np.random.Generator(np.random.Philox(cfg.seed))
     for epoch in range(cfg.epochs):
@@ -234,10 +237,10 @@ def train(cfg: TrainConfig, out_dir=None):
         should_stop = stopper.update(val["loss"])
         if stopper.is_best:
             net.save(ckpt_path)
-        log_rows.append(f"{epoch},{epoch_loss:.6f},{val['loss']:.6f},{val['loss']:.6f}")
+        log += f"{epoch},{epoch_loss:.6f},{val['loss']:.6f}\n"
+        _replace_file(log_path, log.encode())
         if should_stop:
             break
-    (out / "train_log.csv").write_text("\n".join(log_rows) + "\n")
 
     # evaluate the best checkpoint on the test split
     net.load(ckpt_path)

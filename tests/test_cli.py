@@ -3,6 +3,8 @@ import json
 import pytest
 
 from momrev import cli
+from momrev.errors import NumericError
+from momrev.optim import Adam
 from momrev.train import segmentation_defaults
 
 
@@ -49,7 +51,28 @@ def test_train_zero_epochs_keeps_initial_weights(tmp_path, capsys):
     code, _, _ = run(["train", "--config", str(cfg_path)], capsys)
     assert code == 0
     log = (tmp_path / "run" / "train_log.csv").read_text().splitlines()
-    assert log == ["epoch,train_loss,val_loss,val_metric"]
+    assert log == ["epoch,train_loss,val_loss"]
+    assert (tmp_path / "run" / "checkpoint.bin").exists()
+
+
+def test_numeric_abort_keeps_epoch_log(tmp_path, capsys, monkeypatch):
+    steps = []
+    real_step = Adam.step
+
+    def step_until_second_epoch(self):
+        steps.append(1)
+        if len(steps) > 1:  # a batch larger than the train split: one step per epoch
+            raise NumericError("non-finite gradient; step refused")
+        real_step(self)
+
+    monkeypatch.setattr(Adam, "step", step_until_second_epoch)
+    cfg_path = tiny_seg_config(tmp_path, epochs=3, batch_size=64)
+    code, _, err = run(["train", "--config", str(cfg_path)], capsys)
+    assert code == cli.EXIT_NUMERIC == 4
+    assert err.startswith("numeric error:")
+    log = (tmp_path / "run" / "train_log.csv").read_text().splitlines()
+    assert len(log) == 2 and log[0] == "epoch,train_loss,val_loss"
+    assert log[1].startswith("0,")
     assert (tmp_path / "run" / "checkpoint.bin").exists()
 
 

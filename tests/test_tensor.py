@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momrev import tensor
+from momrev import layers, tensor
 from momrev.errors import DataError, ShapeError
 from util import rng
 
@@ -90,6 +90,56 @@ def test_conv2d_matches_bruteforce(seed):
     want = np.stack([conv2d_bruteforce(x, kern, stride, padding) for x in inp])
     assert got.shape == want.shape
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def conv2d_backward_bruteforce(inp, kernels, gy, stride, padding):
+    """Explicit-loop input and weight gradients of `conv2d_bruteforce`
+    for upstream gradient gy, one C x H x W image."""
+    c_in, h, w = inp.shape
+    c_out, _, kh, kw = kernels.shape
+    xp = np.pad(inp, ((0, 0), (padding, padding), (padding, padding)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(kernels)
+    _, oh, ow = gy.shape
+    for co in range(c_out):
+        for i in range(oh):
+            for j in range(ow):
+                for ci in range(c_in):
+                    for a in range(kh):
+                        for b in range(kw):
+                            y, x = i * stride + a, j * stride + b
+                            gxp[ci, y, x] += gy[co, i, j] * kernels[co, ci, a, b]
+                            gw[co, ci, a, b] += gy[co, i, j] * xp[ci, y, x]
+    return gxp[:, padding : padding + h, padding : padding + w], gw
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_conv2d_backward_matches_bruteforce(seed):
+    r = rng(seed)
+    batch = int(r.integers(1, 3))
+    c_in = int(r.integers(1, 4))
+    c_out = int(r.integers(1, 4))
+    k = int(r.integers(1, 4))
+    stride = int(r.integers(1, 3))
+    padding = int(r.integers(0, 3))
+    # H = k - 2*padding + stride*m for m >= m_min keeps H >= 1 and the geometry valid
+    m_min = max(0, -(-(1 - k + 2 * padding) // stride))
+    m_h = m_min + int(r.integers(0, 3))
+    m_w = m_min + int(r.integers(0, 3))
+    m_w += m_w == m_h  # H != W, so a transposed index cannot pass
+    h = k - 2 * padding + stride * m_h
+    w = k - 2 * padding + stride * m_w
+    conv = layers.Conv2d(c_in, c_out, k, stride, padding, rng=r)
+    inp = r.normal(size=(batch, c_in, h, w))
+    gy = r.normal(size=conv.forward(inp).shape)
+    gx = conv.backward(gy)
+    want = [conv2d_backward_bruteforce(x, conv.w.value, g, stride, padding)
+            for x, g in zip(inp, gy)]
+    assert gx.shape == inp.shape
+    assert np.allclose(gx, np.stack([g for g, _ in want]), rtol=1e-12, atol=1e-12)
+    assert np.allclose(conv.w.grad, sum(g for _, g in want), rtol=1e-12, atol=1e-12)
+    assert np.allclose(conv.b.grad, gy.sum(axis=(0, 2, 3)), rtol=1e-12, atol=1e-12)
 
 
 def test_conv2d_bad_geometry():
