@@ -51,17 +51,16 @@ def _load_config(args) -> train_mod.TrainConfig:
     return cfg
 
 
+def _metric_table(cfg, name, result):
+    """Header and one row of the task's metrics, labelled `name`."""
+    columns = metrics_mod.SEG_COLUMNS if cfg.task == "segmentation" else metrics_mod.CLS_COLUMNS
+    return ["name"] + columns, [[name] + [result[c] for c in columns]]
+
+
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     result = train_mod.train(cfg)
-    test = result["test"]
-    if cfg.task == "segmentation":
-        values = [test[c] for c in metrics_mod.SEG_COLUMNS]
-        rows = [("test", values)]
-        columns = metrics_mod.SEG_COLUMNS
-    else:
-        rows = [("test", [test["Accuracy"], test["MCC"]])]
-        columns = metrics_mod.CLS_COLUMNS
+    columns, rows = _metric_table(cfg, "test", result["test"])
     csv_text = metrics_mod.render_csv(columns, rows)
     (result["out_dir"] / "test_metrics.csv").write_text(csv_text)
     sys.stdout.write(metrics_mod.render_markdown(columns, rows))
@@ -79,12 +78,7 @@ def cmd_eval(args) -> int:
     net.load(Path(args.checkpoint))
     _, sets = train_mod.load_splits(cfg)
     result = train_mod.evaluate_split(cfg, net, sets[args.split])
-    if cfg.task == "segmentation":
-        columns = metrics_mod.SEG_COLUMNS
-        rows = [(args.split, [result[c] for c in columns])]
-    else:
-        columns = metrics_mod.CLS_COLUMNS
-        rows = [(args.split, [result["Accuracy"], result["MCC"]])]
+    columns, rows = _metric_table(cfg, args.split, result)
     csv_text = metrics_mod.render_csv(columns, rows)
     sys.stdout.write(metrics_mod.render_markdown(columns, rows))
     if args.out:
@@ -114,13 +108,14 @@ def cmd_memprofile(args) -> int:
     )
     batch = np.zeros((args.batch, 1, args.hw, args.hw))
     rows = memprofile_mod.compare_modes(descriptor, batch, args.depths)
-    csv_text = memprofile_mod.render_ledger_csv(rows)
+    columns = memprofile_mod.LEDGER_COLUMNS
+    csv_text = metrics_mod.render_csv(columns, rows)
     sys.stdout.write(csv_text)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "memprofile.csv").write_text(csv_text)
-        (out / "memprofile.md").write_text(memprofile_mod.render_ledger_markdown(rows))
+        (out / "memprofile.md").write_text(metrics_mod.render_markdown(columns, rows))
     return EXIT_OK
 
 

@@ -5,8 +5,7 @@ whatever its backward pass needs when run in train mode, and exposes the
 size of that cache so the memory ledger can audit it. Backward accumulates
 parameter gradients and returns the input gradient.
 
-Image tensors are channels-first; a leading batch axis is optional for
-the spatial layers (a lone C x H x W input is promoted internally).
+Image tensors are batched and channels-first: B x C x H x W.
 """
 
 from __future__ import annotations
@@ -126,28 +125,25 @@ class Conv2d(Layer):
         return [self.w, self.b]
 
     def forward(self, x, train=True):
-        squeeze = x.ndim == 3
-        xb = x[None] if squeeze else x
-        y = tensor.conv2d_batched(xb, self.w.value, self.stride, self.padding)
+        y = tensor.conv2d_batched(x, self.w.value, self.stride, self.padding)
         y += self.b.value[None, :, None, None]
         if train:
-            self._cache = (xb, squeeze)
-        return y[0] if squeeze else y
+            self._cache = x
+        return y
 
     def backward(self, gy):
-        xb, squeeze = self._take_cache()
-        gyb = gy[None] if squeeze else gy
+        x = self._take_cache()
         s, p = self.stride, self.padding
         co, ci, kh, kw = self.w.value.shape
-        b, _, oh, ow = gyb.shape
-        h, w = xb.shape[2:]
+        b, _, oh, ow = gy.shape
+        h, w = x.shape[2:]
         # weight grads, then input grads: each pass holds one copy of gy,
         # and the taps accumulate in the same order as one joint loop. Both use
         # the forward's rows (tensor.flat_padded): offset (i, j) starts at i*W' + j
-        xf, hp, wp = tensor.flat_padded(xb, p, kh, kw)
+        xf, hp, wp = tensor.flat_padded(x, p, kh, kw)
         n = b * hp * wp
         xp = xf[:n].reshape(b, hp, wp, ci)
-        gy_by_channel = gyb.transpose(1, 0, 2, 3).reshape(co, -1)
+        gy_by_channel = gy.transpose(1, 0, 2, 3).reshape(co, -1)
         for i in range(kh):
             for j in range(kw):
                 self.w.grad[:, :, i, j] += np.dot(
@@ -161,18 +157,17 @@ class Conv2d(Layer):
         # time halves that grid and its products, which set a train step's peak
         # memory; a half's slices reach past its images only with zero rows.
         for lo, hi in ((0, b // 2), (b // 2, b)):
-            gy_rows = np.zeros((hi - lo, hp, wp, co), dtype=gyb.dtype)
-            gy_rows[:, : s * oh : s, : s * ow : s, :] = gyb[lo:hi].transpose(0, 2, 3, 1)
+            gy_rows = np.zeros((hi - lo, hp, wp, co), dtype=gy.dtype)
+            gy_rows[:, : s * oh : s, : s * ow : s, :] = gy[lo:hi].transpose(0, 2, 3, 1)
             gy_rows = gy_rows.reshape(-1, co)
             for i in range(kh):
                 for j in range(kw):
                     off = lo * hp * wp + i * wp + j
                     gxf[off : off + len(gy_rows)] += np.dot(gy_rows, self.w.value[:, :, i, j])
         del gy_rows
-        self.b.grad += gyb.sum(axis=(0, 2, 3))
-        gxp = gxf[:n].reshape(b, hp, wp, ci).transpose(0, 3, 1, 2).copy()
-        gx = gxp[:, :, p : p + h, p : p + w] if p else gxp
-        return gx[0] if squeeze else gx
+        self.b.grad += gy.sum(axis=(0, 2, 3))
+        gx = gxf[:n].reshape(b, hp, wp, ci).transpose(0, 3, 1, 2).copy()
+        return gx[:, :, p : p + h, p : p + w] if p else gx
 
 
 class ReLU(Layer):
@@ -203,28 +198,23 @@ class MaxPool2(Layer):
     """2x2 max pooling, stride 2."""
 
     def forward(self, x, train=True):
-        squeeze = x.ndim == 3
-        xb = x[None] if squeeze else x
-        b, c, h, w = xb.shape
+        b, c, h, w = x.shape
         if h % 2 or w % 2:
             raise ShapeError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-        windows = xb.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+        windows = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
         windows = windows.reshape(b, c, h // 2, w // 2, 4)
         idx = windows.argmax(axis=-1)
         y = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
         if train:
-            self._cache = (idx, xb.shape, squeeze)
-        return y[0] if squeeze else y
+            self._cache = (idx, x.shape)
+        return y
 
     def backward(self, gy):
-        idx, xshape, squeeze = self._take_cache()
-        gyb = gy[None] if squeeze else gy
-        b, c, h, w = xshape
-        gwin = np.zeros((b, c, h // 2, w // 2, 4), dtype=gyb.dtype)
-        np.put_along_axis(gwin, idx[..., None], gyb[..., None], axis=-1)
+        idx, (b, c, h, w) = self._take_cache()
+        gwin = np.zeros((b, c, h // 2, w // 2, 4), dtype=gy.dtype)
+        np.put_along_axis(gwin, idx[..., None], gy[..., None], axis=-1)
         gx = gwin.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        gx = gx.reshape(b, c, h, w)
-        return gx[0] if squeeze else gx
+        return gx.reshape(b, c, h, w)
 
 
 class Upsample2(Layer):
@@ -261,11 +251,7 @@ class Sequential(Layer):
         self._ran = False
 
     def params(self):
-        out = []
-        for i, layer in enumerate(self.layers):
-            for p in layer.params():
-                out.append(p)
-        return out
+        return [p for layer in self.layers for p in layer.params()]
 
     def forward(self, x, train=True):
         for layer in self.layers:

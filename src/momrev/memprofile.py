@@ -1,23 +1,23 @@
 """Activation-memory ledger: exact float tallies, not OS bytes.
 
 A ledger counts scalars retained past the operation that produced them
-during one train-mode forward pass, split by category. The per-block
-working set of a residual function is transient in both backward modes
-(stored mode recomputes f from the cached block input, reversible mode
-from the reconstructed one), so it is reported as a peak, separately from
-the retained totals.
+during one train-mode forward pass, in two categories: the chain states
+the chains' modes keep, and the caches of every layer outside the chains
+(transitions and the head). These are the only places a forward keeps
+activations. The per-block working set of a residual function is
+transient in both backward modes (stored mode recomputes f from the
+cached block input, reversible mode from the reconstructed one), so it is
+reported as a peak, separately from the retained total.
 """
 
 from __future__ import annotations
-
-import io
 
 import numpy as np
 
 from . import network as network_mod
 
 LEDGER_COLUMNS = ["depth", "mode", "chain_states", "f_transient_peak",
-                  "skips", "transitions", "total"]
+                  "transitions", "total"]
 
 
 def profile_forward(net, batch: np.ndarray) -> network_mod.MemoryLedger:
@@ -33,7 +33,8 @@ def compare_modes(descriptor: network_mod.NetworkDescriptor, batch: np.ndarray,
     """Ledger rows over chain depths for both backward modes.
 
     Every stage of the descriptor is rebuilt with `blocks=depth` and the
-    requested mode; returns a list of dicts in LEDGER_COLUMNS order.
+    requested mode; returns one row per (depth, mode) with its values in
+    LEDGER_COLUMNS order, ready for `metrics.render_csv`.
     """
     rows = []
     for depth in depths:
@@ -50,29 +51,7 @@ def compare_modes(descriptor: network_mod.NetworkDescriptor, batch: np.ndarray,
             )
             net = network_mod.build(desc, seed=seed, dtype=dtype)
             ledger = profile_forward(net, batch.astype(dtype))
-            rows.append({
-                "depth": depth,
-                "mode": mode,
-                "chain_states": ledger.chain_states,
-                "f_transient_peak": ledger.f_transient_peak,
-                "skips": ledger.skips,
-                "transitions": ledger.transitions + ledger.head,
-                "total": ledger.total,
-            })
+            rows.append([depth, mode, ledger.chain_states, ledger.f_transient_peak,
+                         ledger.transitions, ledger.total])
     return rows
 
-
-def render_ledger_csv(rows) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(LEDGER_COLUMNS) + "\n")
-    for row in rows:
-        buf.write(",".join(str(row[c]) for c in LEDGER_COLUMNS) + "\n")
-    return buf.getvalue()
-
-
-def render_ledger_markdown(rows) -> str:
-    lines = ["| " + " | ".join(LEDGER_COLUMNS) + " |",
-             "|" + "---|" * len(LEDGER_COLUMNS)]
-    for row in rows:
-        lines.append("| " + " | ".join(str(row[c]) for c in LEDGER_COLUMNS) + " |")
-    return "\n".join(lines) + "\n"

@@ -8,7 +8,6 @@ per image so that means over an image set are always defined.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -142,21 +141,19 @@ def evaluate_masks(preds: list, gts: list, hd_variant: str = "max") -> Segmentat
 
 
 def _fmt(v):
+    """Counts and labels print as they are; measurements to 4 decimals."""
+    if isinstance(v, (str, int)):
+        return str(v)
     return "inf" if not np.isfinite(v) else f"{v:.4f}"
 
 
 def render_csv(columns, rows) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(["name"] + columns) + "\n")
-    for name, values in rows:
-        buf.write(",".join([name] + [_fmt(v) for v in values]) + "\n")
-    return buf.getvalue()
+    """`rows` are sequences of values in `columns` order."""
+    lines = [",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def render_markdown(columns, rows) -> str:
-    header = "| name | " + " | ".join(columns) + " |"
-    rule = "|" + "---|" * (len(columns) + 1)
-    lines = [header, rule]
-    for name, values in rows:
-        lines.append("| " + " | ".join([name] + [_fmt(v) for v in values]) + " |")
+    lines = ["| " + " | ".join(columns) + " |", "|" + "---|" * len(columns)]
+    lines += ["| " + " | ".join(_fmt(v) for v in row) + " |" for row in rows]
     return "\n".join(lines) + "\n"

@@ -8,7 +8,10 @@ Two toy architectures share the same building blocks:
   chains; skips are taken before each downsampling transition and
   concatenated channel-wise in the decoder; a 1x1 conv emits per-pixel
   logits. Pools/upsamples are not invertible, so only the chains run
-  reversibly; skip tensors are cached in both modes.
+  reversibly.
+
+A train-mode forward holds activations only in the layers' caches and the
+chains' retained states, and `train_backward` frees both when it ends.
 """
 
 from __future__ import annotations
@@ -76,14 +79,12 @@ class MemoryLedger:
 
     chain_states: int
     f_transient_peak: int
-    skips: int
-    transitions: int
-    head: int
+    transitions: int  # every cache outside the chains, head included
 
     @property
     def total(self) -> int:
         """Retained scalars; the transient peak is tracked separately."""
-        return self.chain_states + self.skips + self.transitions + self.head
+        return self.chain_states + self.transitions
 
 
 class Network:
@@ -98,19 +99,12 @@ class Network:
     def chains(self) -> list[MomentumChain]:
         raise NotImplementedError
 
-    def transition_layers(self) -> list[Sequential]:
-        raise NotImplementedError
-
-    def head_layer(self):
+    def layers(self) -> list:
+        """Every layer outside the chains, the head last."""
         raise NotImplementedError
 
     def params(self):
-        out = []
-        for chain in self.chains():
-            out.extend(chain.params())
-        for layer in self.transition_layers():
-            out.extend(layer.params())
-        out.extend(self.head_layer().params())
+        out = [p for part in self.chains() + self.layers() for p in part.params()]
         names = [p.name for p in out]
         if len(names) != len(set(names)):
             raise ConfigError("duplicate parameter registration")
@@ -129,9 +123,8 @@ class Network:
     def clear_caches(self):
         for chain in self.chains():
             chain.clear()
-        for layer in self.transition_layers():
+        for layer in self.layers():
             layer.clear_cache()
-        self.head_layer().clear_cache()
         self._pending = False
 
     def memory_ledger(self) -> MemoryLedger:
@@ -140,13 +133,8 @@ class Network:
         return MemoryLedger(
             chain_states=sum(c.retained_state_scalars() for c in chains),
             f_transient_peak=max((c.f_transient_peak for c in chains), default=0),
-            skips=self._skip_scalars(),
-            transitions=sum(l.cache_size() for l in self.transition_layers()),
-            head=self.head_layer().cache_size(),
+            transitions=sum(l.cache_size() for l in self.layers()),
         )
-
-    def _skip_scalars(self) -> int:
-        return 0
 
     def _check_batch(self, batch):
         if batch.ndim != 4 or batch.shape[1:] != self.descriptor.input_shape:
@@ -192,16 +180,12 @@ class ClassifierNet(Network):
     def chains(self):
         return self.stage_chains
 
-    def transition_layers(self):
-        return [self.stem] + self.downs
-
-    def head_layer(self):
-        return self.head
+    def layers(self):
+        return [self.stem] + self.downs + [self.head]
 
     def predict(self, batch, train=False):
         self._check_batch(batch)
-        if train:
-            self.clear_caches()
+        self.clear_caches()
         x = self.stem.forward(batch, train=train)
         for i, chain in enumerate(self.stage_chains):
             x = chain.forward(x, train=train).x
@@ -220,7 +204,7 @@ class ClassifierNet(Network):
                 g = self.downs[i].backward(g)
             g = self.stage_chains[i].backward(g)
         g = self.stem.backward(g)
-        self._pending = False
+        self.clear_caches()
         return g
 
 
@@ -281,30 +265,16 @@ class SegmenterNet(Network):
                 rng, dtype, f"dec{i}"))
         self.head = Conv2d(stages[0].width, 1, 1, rng=rng, init="xavier",
                            dtype=dtype, name="head.conv")
-        self._skips = None
 
     def chains(self):
         return self.enc_chains + self.dec_chains
 
-    def transition_layers(self):
-        return [self.stem] + self.downs + self.ups + self.fuses
-
-    def head_layer(self):
-        return self.head
-
-    def _skip_scalars(self):
-        if not self._skips:
-            return 0
-        return sum(s.size for s in self._skips)
-
-    def clear_caches(self):
-        super().clear_caches()
-        self._skips = None
+    def layers(self):
+        return [self.stem] + self.downs + self.ups + self.fuses + [self.head]
 
     def predict(self, batch, train=False):
         self._check_batch(batch)
-        if train:
-            self.clear_caches()
+        self.clear_caches()
         m = len(self.enc_chains)
         x = self.stem.forward(batch, train=train)
         skips = []
@@ -320,9 +290,7 @@ class SegmenterNet(Network):
             x = self.fuses[j].forward(x, train=train)
             x = self.dec_chains[j].forward(x, train=train).x
         logits = self.head.forward(x, train=train)
-        if train:
-            self._skips = skips
-            self._pending = True
+        self._pending = train
         return logits
 
     def train_backward(self, loss_grad):
@@ -343,8 +311,7 @@ class SegmenterNet(Network):
                 g = g + skip_grads[i]  # fan-out: down path + skip path
             g = self.enc_chains[i].backward(g)
         g = self.stem.backward(g)
-        self._pending = False
-        self._skips = None
+        self.clear_caches()
         return g
 
 

@@ -44,6 +44,8 @@ def conv2d_batched(inp: Tensor, kernels: Tensor, stride: int = 1, padding: int =
     r + i*W' + j of the input times that offset's kernel. Rows anchored in
     the padding, and off the stride, are then dropped.
     """
+    if inp.ndim != 4:
+        raise ShapeError(f"conv2d expects B x C x H x W input, got shape {inp.shape}")
     b, c_in, h, w = inp.shape
     c_out, kc, kh, kw = kernels.shape
     if kc != c_in:

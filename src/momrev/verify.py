@@ -84,7 +84,7 @@ def suite_inversion_roundtrip(cases=100, gammas=(0.1, 0.5, 0.9, 1.0),
                 gamma,
                 build_residual_function({"kind": "conv", "channels": 2}, rng, np.float64),
             )
-            s = MomentumState(rng.normal(size=(2, 4, 4)), rng.normal(size=(2, 4, 4)))
+            s = MomentumState(rng.normal(size=(1, 2, 4, 4)), rng.normal(size=(1, 2, 4, 4)))
             s2 = block.forward(s)
             back = block.inverse(s2)
             err = max(np.abs(back.x - s.x).max(), np.abs(back.v - s.v).max())
@@ -99,7 +99,7 @@ def suite_chain_roundtrip(depth=10, gamma=0.9, cases=20, tol=1e-8, seed=12) -> V
     for _ in range(cases):
         chain = build_chain({"kind": "conv", "channels": 2}, depth, gamma, REVERSIBLE,
                             rng, name="verify")
-        s = MomentumState(rng.normal(size=(2, 4, 4)), rng.normal(size=(2, 4, 4)))
+        s = MomentumState(rng.normal(size=(1, 2, 4, 4)), rng.normal(size=(1, 2, 4, 4)))
         state = s
         for b in chain.blocks:
             state = b.forward(state)
@@ -117,8 +117,8 @@ def suite_resnet_endpoint(cases=100, seed=13) -> VerifyResult:
     for _ in range(cases):
         f = build_residual_function({"kind": "conv", "channels": 2}, rng, np.float64)
         block = MomentumBlock(0.0, f)
-        x = rng.normal(size=(2, 4, 4))
-        v = rng.normal(size=(2, 4, 4))
+        x = rng.normal(size=(1, 2, 4, 4))
+        v = rng.normal(size=(1, 2, 4, 4))
         out = block.forward(MomentumState(x, v))
         expected = x + f.forward(x, train=False)
         ok &= np.array_equal(out.x, expected)

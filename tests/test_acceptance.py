@@ -47,14 +47,14 @@ def test_inversion_round_trip():
     for gamma in (0.1, 0.5, 0.9, 1.0):
         for _ in range(100):
             block = conv_block(gamma, r)
-            s = MomentumState(r.normal(size=(2, 4, 4)), r.normal(size=(2, 4, 4)))
+            s = MomentumState(r.normal(size=(1, 2, 4, 4)), r.normal(size=(1, 2, 4, 4)))
             back = block.inverse(block.forward(s))
             worst_block = max(worst_block,
                               np.abs(back.x - s.x).max(), np.abs(back.v - s.v).max())
     worst_chain = 0.0
     for case in range(20):
         blocks = [conv_block(0.9, r) for _ in range(10)]
-        s = MomentumState(r.normal(size=(2, 4, 4)), r.normal(size=(2, 4, 4)))
+        s = MomentumState(r.normal(size=(1, 2, 4, 4)), r.normal(size=(1, 2, 4, 4)))
         state = s
         for b in blocks:
             state = b.forward(state)
@@ -77,7 +77,7 @@ def test_plain_residual_endpoint_bit_exact():
     for _ in range(100):
         f = build_residual_function({"kind": "conv", "channels": 2}, r, np.float64)
         block = MomentumBlock(0.0, f)
-        x, v = r.normal(size=(2, 4, 4)), r.normal(size=(2, 4, 4))
+        x, v = r.normal(size=(1, 2, 4, 4)), r.normal(size=(1, 2, 4, 4))
         out = block.forward(MomentumState(x, v))
         exact &= np.array_equal(out.x, x + f.forward(x, train=False))
     report("plain-residual-endpoint", exact,
@@ -202,7 +202,7 @@ def seg_config(out_dir, gamma=0.9, mode="reversible"):
 
 def seg_report_csv(result):
     row = [result["test"][c] for c in metrics.SEG_COLUMNS]
-    return metrics.render_csv(metrics.SEG_COLUMNS, [("test", row)])
+    return metrics.render_csv(["name"] + metrics.SEG_COLUMNS, [["test"] + row])
 
 
 @pytest.fixture(scope="module")
@@ -217,10 +217,10 @@ def test_segmentation_training(seg_run, tmp_path):
     result, elapsed = seg_run
     control = train.train(seg_config(tmp_path / "control", gamma=0.0, mode="stored"))
     rows = [
-        ("momentum g=0.9", [result["test"][c] for c in metrics.SEG_COLUMNS]),
-        ("control g=0.0", [control["test"][c] for c in metrics.SEG_COLUMNS]),
+        ["momentum g=0.9"] + [result["test"][c] for c in metrics.SEG_COLUMNS],
+        ["control g=0.0"] + [control["test"][c] for c in metrics.SEG_COLUMNS],
     ]
-    print(metrics.render_markdown(metrics.SEG_COLUMNS, rows), flush=True)
+    print(metrics.render_markdown(["name"] + metrics.SEG_COLUMNS, rows), flush=True)
     mdsc = result["test"]["mDSC"]
     report("segmentation-training",
            mdsc >= 0.90 and elapsed < 600,

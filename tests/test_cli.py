@@ -138,7 +138,7 @@ def test_memprofile_csv(tmp_path, capsys):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "depth,mode,chain_states,f_transient_peak,skips,transitions,total"
+    assert lines[0] == "depth,mode,chain_states,f_transient_peak,transitions,total"
     assert len(lines) == 1 + 6
     assert (tmp_path / "memprofile.csv").read_text() == out
 

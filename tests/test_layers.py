@@ -94,7 +94,7 @@ def test_residual_function_zero_weights_is_zero():
     f = layers.build_residual_function({"kind": "conv", "channels": 2}, rng=rng(0))
     for p in f.params():
         p.value[...] = 0.0
-    x = rng(5).normal(size=(2, 4, 4))
+    x = rng(5).normal(size=(1, 2, 4, 4))
     assert np.array_equal(f.forward(x, train=False), np.zeros_like(x))
 
 
@@ -109,12 +109,12 @@ def test_residual_function_linear_tanh_identity_weights():
     assert f.forward(x, train=False)[0] == pytest.approx(np.tanh(0.7))
 
 
-@given(st.sampled_from([(4, 8, 8), (2, 4, 4), (16,), (5,)]), st.integers(0, 1000))
+@given(st.sampled_from([(1, 4, 8, 8), (1, 2, 4, 4), (16,), (5,)]), st.integers(0, 1000))
 @settings(max_examples=20, deadline=None)
 def test_residual_function_preserves_shape(shape, seed):
     r = rng(seed)
-    if len(shape) == 3:
-        f = layers.build_residual_function({"kind": "conv", "channels": shape[0]}, r)
+    if len(shape) == 4:
+        f = layers.build_residual_function({"kind": "conv", "channels": shape[1]}, r)
     else:
         f = layers.build_residual_function({"kind": "linear", "dim": shape[0]}, r)
     x = r.normal(size=shape)

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from momrev import memprofile, network
+from momrev import memprofile, metrics, network
 from util import rng
 
 
@@ -45,9 +45,7 @@ def test_transient_peak_and_fixed_costs_match_across_modes():
         a = ledger_for("stored", blocks)
         b = ledger_for("reversible", blocks)
         assert a.f_transient_peak == b.f_transient_peak
-        assert a.skips == b.skips
         assert a.transitions == b.transitions
-        assert a.head == b.head
 
 
 def test_segmenter_skips_counted():
@@ -59,10 +57,7 @@ def test_segmenter_skips_counted():
     )
     net = network.build(desc, seed=0)
     ledger = memprofile.profile_forward(net, rng(2).normal(size=(3, 1, 8, 8)))
-    # one skip tensor at full resolution, width 2
-    assert ledger.skips == 3 * 2 * 8 * 8
-    assert ledger.total == (ledger.chain_states + ledger.skips
-                            + ledger.transitions + ledger.head)
+    assert ledger.total == ledger.chain_states + ledger.transitions
 
 
 def test_profile_clears_caches():
@@ -95,33 +90,33 @@ def test_compare_modes_rows_and_scaling():
     rows = memprofile.compare_modes(desc, batch, depths)
     assert len(rows) == 2 * len(depths)
     state = 2 * 4 * 8 * 8
-    by = {(r["depth"], r["mode"]): r for r in rows}
+    by = {(r[0], r[1]): dict(zip(memprofile.LEDGER_COLUMNS, r)) for r in rows}
     for d in depths:
         assert by[(d, "stored")]["chain_states"] == 2 * state * d
         assert by[(d, "reversible")]["chain_states"] == 2 * state
         assert (by[(d, "stored")]["f_transient_peak"]
                 == by[(d, "reversible")]["f_transient_peak"])
-        assert by[(d, "stored")]["skips"] == by[(d, "reversible")]["skips"]
+        assert by[(d, "stored")]["transitions"] == by[(d, "reversible")]["transitions"]
 
 
 def test_ledger_csv_roundtrip():
     rows = memprofile.compare_modes(chain_descriptor("reversible", 1),
                                     rng(7).normal(size=(1, 1, 8, 8)), [1, 2])
-    text = memprofile.render_ledger_csv(rows)
+    text = metrics.render_csv(memprofile.LEDGER_COLUMNS, rows)
     parsed = list(csv.DictReader(io.StringIO(text)))
     assert len(parsed) == len(rows)
     for got, want in zip(parsed, rows):
-        for col in memprofile.LEDGER_COLUMNS:
+        for col, value in zip(memprofile.LEDGER_COLUMNS, want):
             if col == "mode":
-                assert got[col] == want[col]
+                assert got[col] == value
             else:
-                assert int(got[col]) == want[col]
+                assert int(got[col]) == value
 
 
 def test_ledger_markdown_has_header_and_rows():
     rows = memprofile.compare_modes(chain_descriptor("reversible", 1),
                                     rng(8).normal(size=(1, 1, 8, 8)), [1])
-    md = memprofile.render_ledger_markdown(rows)
+    md = metrics.render_markdown(memprofile.LEDGER_COLUMNS, rows)
     lines = md.strip().splitlines()
     assert lines[0].startswith("| depth | mode |")
     assert len(lines) == 2 + len(rows)

@@ -184,7 +184,7 @@ def test_report_column_order_matches_tables():
     assert metrics.SEG_COLUMNS == ["mDSC", "mIoU", "Rec.", "Prec.", "F2", "HD"]
     report = metrics.evaluate_masks([np.ones((2, 2), dtype=np.uint8)],
                                     [np.ones((2, 2), dtype=np.uint8)])
-    csv_text = metrics.render_csv(metrics.SEG_COLUMNS, [("mean", report.means)])
+    csv_text = metrics.render_csv(["name"] + metrics.SEG_COLUMNS, [["mean"] + report.means])
     assert csv_text.splitlines()[0] == "name,mDSC,mIoU,Rec.,Prec.,F2,HD"
 
 

@@ -51,8 +51,8 @@ def test_gamma_zero_is_plain_residual_bitwise():
         f = conv_f(seed)
         block = MomentumBlock(0.0, f)
         r = rng(10_000 + seed)
-        x = r.normal(size=(2, 4, 4))
-        v = r.normal(size=(2, 4, 4))
+        x = r.normal(size=(1, 2, 4, 4))
+        v = r.normal(size=(1, 2, 4, 4))
         out = block.forward(MomentumState(x, v))
         assert np.array_equal(out.x, x + f.forward(x, train=False))
 
@@ -67,7 +67,7 @@ def test_inverse_identity_f():
 def test_inverse_gamma_one_keeps_velocity():
     block = MomentumBlock(1.0, conv_f(1))
     r = rng(2)
-    s_next = MomentumState(r.normal(size=(2, 4, 4)), r.normal(size=(2, 4, 4)))
+    s_next = MomentumState(r.normal(size=(1, 2, 4, 4)), r.normal(size=(1, 2, 4, 4)))
     back = block.inverse(s_next)
     assert np.array_equal(back.v, s_next.v)
     assert np.array_equal(back.x, s_next.x - s_next.v)
@@ -79,7 +79,7 @@ def test_roundtrip_100_cases(gamma):
     for seed in range(100):
         block = MomentumBlock(gamma, conv_f(seed))
         r = rng(20_000 + seed)
-        s = MomentumState(r.normal(size=(2, 4, 4)), r.normal(size=(2, 4, 4)))
+        s = MomentumState(r.normal(size=(1, 2, 4, 4)), r.normal(size=(1, 2, 4, 4)))
         back = block.inverse(block.forward(s))
         worst = max(worst, np.abs(back.x - s.x).max(), np.abs(back.v - s.v).max())
     assert worst <= 1e-10
@@ -90,7 +90,7 @@ def test_roundtrip_100_cases(gamma):
 def test_roundtrip_property(gamma, seed):
     block = MomentumBlock(gamma, conv_f(seed))
     r = rng(seed)
-    s = MomentumState(r.normal(size=(2, 4, 4)), r.normal(size=(2, 4, 4)))
+    s = MomentumState(r.normal(size=(1, 2, 4, 4)), r.normal(size=(1, 2, 4, 4)))
     back = block.inverse(block.forward(s))
     assert np.abs(back.x - s.x).max() <= 1e-9
     assert np.abs(back.v - s.v).max() <= 1e-9
@@ -129,7 +129,7 @@ def test_chain_gamma_zero_doubles():
 
 
 def test_chain_modes_agree_bitwise():
-    x0 = rng(31).normal(size=(2, 4, 4))
+    x0 = rng(31).normal(size=(1, 2, 4, 4))
     finals = []
     for mode in (STORED, REVERSIBLE):
         blocks = [MomentumBlock(0.9, conv_f(40 + j)) for j in range(10)]
@@ -215,8 +215,8 @@ def test_float32_roundtrip_error_documented():
         f = build_residual_function({"kind": "conv", "channels": 2}, rng(700 + j),
                                     dtype=np.float32)
         blocks.append(MomentumBlock(0.9, f))
-    s = MomentumState(r.normal(size=(2, 4, 4)).astype(np.float32),
-                      r.normal(size=(2, 4, 4)).astype(np.float32))
+    s = MomentumState(r.normal(size=(1, 2, 4, 4)).astype(np.float32),
+                      r.normal(size=(1, 2, 4, 4)).astype(np.float32))
     state = s
     for b in blocks:
         state = b.forward(state)

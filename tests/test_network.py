@@ -192,6 +192,39 @@ def test_backward_without_forward():
         net.train_backward(np.zeros((1, 3)))
 
 
+def test_eval_predict_refuses_pending_backward_before_any_gradient():
+    net = network.build(micro_seg_descriptor(), seed=2)
+    batch = rng(3).normal(size=(2, 1, 4, 4))
+    net.zero_grad()
+    net.predict(batch, train=True)
+    net.predict(batch, train=False)
+    with pytest.raises(StateError):
+        net.train_backward(rng(4).normal(size=(2, 1, 4, 4)))
+    assert all(not p.grad.any() for p in net.params())
+
+
+@pytest.mark.parametrize("make", [micro_cls_descriptor, micro_seg_descriptor])
+def test_backward_frees_every_cache(make):
+    desc = make()
+    net = network.build(desc, seed=5)
+    batch = rng(6).normal(size=(2,) + desc.input_shape)
+    logits = net.predict(batch, train=True)
+    assert net.memory_ledger().total > 0
+    net.train_backward(np.ones_like(logits))
+    assert net.memory_ledger().total == 0
+
+
+def test_train_forward_holds_activations_only_in_layer_caches_and_chain_states():
+    desc = micro_seg_descriptor()
+    for s in desc.stages:
+        s.mode = "stored"
+    net = network.build(desc, seed=7)
+    net.predict(rng(8).normal(size=(2, 1, 4, 4)), train=True)
+    for name, value in vars(net).items():
+        held = value if isinstance(value, list) else [value]
+        assert not any(isinstance(v, np.ndarray) for v in held), name
+
+
 def test_bad_batch_shape():
     net = network.build(cls_descriptor(), seed=1)
     with pytest.raises(ShapeError):

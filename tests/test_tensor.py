@@ -145,6 +145,8 @@ def test_conv2d_backward_matches_bruteforce(seed):
 def test_conv2d_bad_geometry():
     with pytest.raises(ShapeError):
         tensor.conv2d_batched(np.zeros((1, 1, 5, 5)), np.zeros((1, 1, 2, 2)), stride=2)
+    with pytest.raises(ShapeError):  # no batch axis
+        tensor.conv2d_batched(np.zeros((1, 4, 4)), np.zeros((1, 1, 3, 3)))
 
 
 def test_conv2d_channel_mismatch():
