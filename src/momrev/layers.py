@@ -2,8 +2,8 @@
 
 Every layer owns its parameters (value + gradient accumulator), caches
 whatever its backward pass needs when run in train mode, and exposes the
-size of that cache so the memory ledger can audit it. Backward accumulates
-parameter gradients and returns the input gradient.
+arrays in that cache so the memory ledger can audit it. Backward consumes
+the cache, accumulates parameter gradients and returns the input gradient.
 
 Image tensors are batched and channels-first: B x C x H x W.
 """
@@ -45,11 +45,25 @@ def xavier_uniform(rng, shape, fan_in, fan_out, dtype):
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
+def distinct_scalars(arrays) -> int:
+    """Scalars in the distinct buffers behind `arrays`: a view counts as
+    the whole array that owns its memory, and a shared buffer counts once."""
+    owners = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        owners[id(a)] = a.size
+    return sum(owners.values())
+
+
 class Layer:
     """Base layer: forward/backward pair with explicit caching.
 
     A train-mode forward keeps what backward needs in `_cache`: one array,
-    or a tuple whose array entries count toward `cache_size`.
+    or a tuple whose array entries are the layer's `cached_arrays`.
+    Backward consumes the cache, so each cached array is freed as soon as
+    backward has read it and nothing else holds it; a second backward
+    raises instead of adding the gradients again.
     """
 
     _cache = None
@@ -66,15 +80,20 @@ class Layer:
     def clear_cache(self):
         self._cache = None
 
-    def cache_size(self) -> int:
-        """Scalars retained past forward for use in backward."""
+    def cached_arrays(self) -> list[np.ndarray]:
+        """Arrays retained past forward for use in backward."""
         held = self._cache if isinstance(self._cache, tuple) else (self._cache,)
-        return sum(a.size for a in held if isinstance(a, np.ndarray))
+        return [a for a in held if isinstance(a, np.ndarray)]
+
+    def cache_size(self) -> int:
+        """Scalars in the distinct buffers of `cached_arrays`."""
+        return distinct_scalars(self.cached_arrays())
 
     def _take_cache(self):
-        if self._cache is None:
+        cache, self._cache = self._cache, None
+        if cache is None:
             raise StateError(f"{type(self).__name__}: backward without forward")
-        return self._cache
+        return cache
 
 
 class Linear(Layer):
@@ -90,20 +109,17 @@ class Linear(Layer):
         return [self.w, self.b]
 
     def forward(self, x, train=True):
-        if x.shape[-1] != self.w.value.shape[1]:
-            raise ShapeError(f"linear expects width {self.w.value.shape[1]}, got {x.shape}")
+        if x.ndim != 2 or x.shape[1] != self.w.value.shape[1]:
+            raise ShapeError(f"linear expects B x {self.w.value.shape[1]}, got {x.shape}")
         if train:
             self._cache = x
         return x @ self.w.value.T + self.b.value
 
     def backward(self, gy):
         x = self._take_cache()
-        x2 = x if x.ndim == 2 else x[None]
-        g2 = gy if gy.ndim == 2 else gy[None]
-        self.w.grad += g2.T @ x2
-        self.b.grad += g2.sum(axis=0)
-        gx = gy @ self.w.value
-        return gx
+        self.w.grad += gy.T @ x
+        self.b.grad += gy.sum(axis=0)
+        return gy @ self.w.value
 
 
 class Conv2d(Layer):
@@ -166,20 +182,27 @@ class Conv2d(Layer):
                     gxf[off : off + len(gy_rows)] += np.dot(gy_rows, self.w.value[:, :, i, j])
         del gy_rows
         self.b.grad += gy.sum(axis=(0, 2, 3))
-        gx = gxf[:n].reshape(b, hp, wp, ci).transpose(0, 3, 1, 2).copy()
-        return gx[:, :, p : p + h, p : p + w] if p else gx
+        # copy only the interior: the result owns B*C*H*W values and does not
+        # keep the padded grid alive
+        gx = gxf[:n].reshape(b, hp, wp, ci)[:, p : p + h, p : p + w]
+        return gx.transpose(0, 3, 1, 2).copy()
 
 
 class ReLU(Layer):
+    """Caches its output: y > 0 exactly where x > 0 (NaN included), and y
+    is often an array held anyway, by the next conv's cache or as a stored
+    chain's first state."""
+
     def forward(self, x, train=True):
+        y = np.maximum(x, 0)
         if train:
-            self._cache = x
-        return np.maximum(x, 0)
+            self._cache = y
+        return y
 
     def backward(self, gy):
-        x = self._take_cache()
+        y = self._take_cache()
         # subgradient at 0 is 0
-        return gy * (x > 0)
+        return gy * (y > 0)
 
 
 class Tanh(Layer):
@@ -262,6 +285,7 @@ class Sequential(Layer):
     def backward(self, gy):
         if not self._ran:
             raise StateError(f"{self.name}: backward without forward")
+        self._ran = False
         for layer in reversed(self.layers):
             gy = layer.backward(gy)
         return gy
@@ -271,8 +295,8 @@ class Sequential(Layer):
             layer.clear_cache()
         self._ran = False
 
-    def cache_size(self):
-        return sum(layer.cache_size() for layer in self.layers)
+    def cached_arrays(self):
+        return [a for layer in self.layers for a in layer.cached_arrays()]
 
 
 def sigmoid(z):

@@ -4,10 +4,14 @@ A ledger counts scalars retained past the operation that produced them
 during one train-mode forward pass, in two categories: the chain states
 the chains' modes keep, and the caches of every layer outside the chains
 (transitions and the head). These are the only places a forward keeps
-activations. The per-block working set of a residual function is
-transient in both backward modes (stored mode recomputes f from the
-cached block input, reversible mode from the reconstructed one), so it is
-reported as a peak, separately from the retained total.
+activations. Each category counts distinct buffers, and the total counts
+a buffer held in both (a reversible chain's output that the next layer
+caches, a ReLU output that a stored chain keeps as its first state) once,
+so the total times the itemsize is what the arrays occupy. The per-block
+working set of a residual function is transient in both backward modes
+(stored mode recomputes f from the cached block input, reversible mode
+from the reconstructed one), so it is reported as a peak, separately from
+the retained total.
 """
 
 from __future__ import annotations

@@ -82,11 +82,9 @@ class MomentumBlock:
         routes: u = gx' + gv' flows into v'; the f path carries (1-gamma)*u
         and the velocity path carries gamma*u.
         """
-        self.f.clear_cache()
         self.f.forward(x_in, train=True)
         u = gx_next + gv_next
         gx_f = self.f.backward((1.0 - self.gamma) * u)
-        self.f.clear_cache()
         gx = gx_next + gx_f
         gv = self.gamma * u
         return gx, gv
@@ -102,8 +100,9 @@ class MomentumChain:
     State i is the input of block i and state n the chain output. A
     train-mode forward keeps the states its mode needs in `_saved`: stored
     mode keeps 0..n-1 (2*S*n scalars for state size S), reversible mode
-    keeps only n (2*S scalars). Backward takes each block input from
-    `_saved` when it is there and inverts the next state when it is not.
+    keeps only n (2*S scalars). Backward takes `_saved` over and pops each
+    block input from it when it is there, inverting the next state when it
+    is not, so every state is freed once its block is done.
     """
 
     def __init__(self, blocks: list[MomentumBlock], mode: str = STORED, name="chain"):
@@ -145,20 +144,20 @@ class MomentumChain:
 
     def backward(self, gx: np.ndarray) -> np.ndarray:
         """Returns the gradient w.r.t. x0; accumulates parameter grads."""
-        if self._saved is None:
+        saved, self._saved = self._saved, None
+        if saved is None:
             raise StateError(f"{self.name}: backward without forward")
         gv = np.zeros_like(gx)
-        state = self._saved.get(len(self.blocks))
+        state = saved.pop(len(self.blocks), None)
         for i in reversed(range(len(self.blocks))):
             block = self.blocks[i]
-            state = self._saved[i] if i in self._saved else block.inverse(state)
+            state = saved.pop(i) if i in saved else block.inverse(state)
             gx, gv = block.backward_step(state.x, gx, gv)
-        self._saved = None
         return gx
 
-    def retained_state_scalars(self) -> int:
-        """Chain-state floats currently held for a pending backward."""
-        return sum(s.size for s in self._saved.values()) if self._saved else 0
+    def retained_arrays(self) -> list[np.ndarray]:
+        """Chain-state arrays currently held for a pending backward."""
+        return [a for s in (self._saved or {}).values() for a in (s.x, s.v)]
 
     def clear(self):
         self._saved = None

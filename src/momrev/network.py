@@ -11,7 +11,8 @@ Two toy architectures share the same building blocks:
   reversibly.
 
 A train-mode forward holds activations only in the layers' caches and the
-chains' retained states, and `train_backward` frees both when it ends.
+chains' retained states. `train_backward` consumes both as it goes, so
+each activation is freed once backward has read it for the last time.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .layers import (
     Sequential,
     Upsample2,
     assign_checkpoint,
+    distinct_scalars,
     load_checkpoint,
     save_checkpoint,
 )
@@ -75,16 +77,17 @@ class NetworkDescriptor:
 
 @dataclass
 class MemoryLedger:
-    """Activation-memory tally by category, in scalars."""
+    """Activation-memory tally by category, in scalars of distinct buffers.
+
+    A buffer that is both a chain state and a layer's cached input counts
+    in both categories but once in `total`, so total <= chain_states +
+    transitions. The transient peak is tracked apart from the total.
+    """
 
     chain_states: int
     f_transient_peak: int
     transitions: int  # every cache outside the chains, head included
-
-    @property
-    def total(self) -> int:
-        """Retained scalars; the transient peak is tracked separately."""
-        return self.chain_states + self.transitions
+    total: int
 
 
 class Network:
@@ -130,10 +133,13 @@ class Network:
     def memory_ledger(self) -> MemoryLedger:
         """Scalars held right now for a pending train-mode backward."""
         chains = self.chains()
+        states = [a for c in chains for a in c.retained_arrays()]
+        caches = [a for l in self.layers() for a in l.cached_arrays()]
         return MemoryLedger(
-            chain_states=sum(c.retained_state_scalars() for c in chains),
+            chain_states=distinct_scalars(states),
             f_transient_peak=max((c.f_transient_peak for c in chains), default=0),
-            transitions=sum(l.cache_size() for l in self.layers()),
+            transitions=distinct_scalars(caches),
+            total=distinct_scalars(states + caches),
         )
 
     def _check_batch(self, batch):

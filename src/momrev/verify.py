@@ -136,8 +136,8 @@ def suite_gradient_modes(depth=10, gamma=0.9, seeds=20, tol=1e-8, fd_tol=1e-6,
         rng = _rng(1000 + s)
         stored = build_chain(linear, depth, gamma, STORED, rng, name="verify")
         rev = build_chain(linear, depth, gamma, REVERSIBLE, _rng(1000 + s), name="verify")
-        x0 = _rng(2000 + s).normal(size=6)
-        w = _rng(3000 + s).normal(size=6)
+        x0 = _rng(2000 + s).normal(size=(1, 6))
+        w = _rng(3000 + s).normal(size=(1, 6))
         gx_s, pg_s = collect_grads(stored, x0, w)
         gx_r, pg_r = collect_grads(rev, x0, w)
         worst_mode = max(worst_mode, rel_err(gx_s, gx_r), rel_err(pg_s, pg_r))

@@ -100,7 +100,7 @@ def test_gradient_mode_agreement_and_fd():
         stored = linear_chain(10, 0.9, STORED, 500 + seed)
         rev = linear_chain(10, 0.9, REVERSIBLE, 500 + seed)
         r = rng(900 + seed)
-        x0, w = r.normal(size=6), r.normal(size=6)
+        x0, w = r.normal(size=(1, 6)), r.normal(size=(1, 6))
         gx_s, pg_s = _chain_grads(stored, x0, w)
         gx_r, pg_r = _chain_grads(rev, x0, w)
         worst_mode = max(worst_mode, rel_err(gx_s, gx_r), rel_err(pg_s, pg_r))

@@ -23,19 +23,70 @@ def test_relu_backward_tie_at_zero():
     assert np.array_equal(gx, np.array([0.0, 0.0, 1.0]))
 
 
+def test_relu_caches_its_output_and_masks_nan():
+    layer = layers.ReLU()
+    y = layer.forward(np.array([np.nan, -1.0, 0.0, 2.0]))
+    assert layer._cache is y
+    gx = layer.backward(np.ones(4))
+    assert np.array_equal(gx, np.array([0.0, 0.0, 0.0, 1.0]))
+
+
+def test_conv_input_gradient_owns_its_data():
+    r = rng(2)
+    conv = layers.Conv2d(2, 3, 3, padding=1, rng=r)
+    x = r.normal(size=(2, 2, 5, 5))
+    conv.forward(x)
+    gx = conv.backward(r.normal(size=(2, 3, 5, 5)))
+    assert gx.base is None and gx.shape == x.shape
+
+
+def test_backward_consumes_every_cache():
+    r = rng(3)
+    cases = _layer_cases(r) + [
+        (layers.build_residual_function({"kind": "conv", "channels": 2}, r),
+         r.normal(size=(2, 2, 4, 4))),
+        (layers.build_residual_function({"kind": "linear", "dim": 3}, r),
+         r.normal(size=(2, 3))),
+    ]
+    for layer, x in cases:
+        layer.backward(np.ones_like(layer.forward(x, train=True)))
+        assert layer.cache_size() == 0 and layer.cached_arrays() == [], type(layer)
+
+
+def test_second_backward_raises_and_moves_no_gradient():
+    r = rng(4)
+    f = layers.build_residual_function({"kind": "conv", "channels": 2}, r)
+    gy = r.normal(size=(2, 2, 4, 4))
+    f.forward(r.normal(size=(2, 2, 4, 4)), train=True)
+    f.backward(gy)
+    before = [p.grad.copy() for p in f.params()]
+    with pytest.raises(StateError):
+        f.backward(gy)
+    assert all(np.array_equal(a, p.grad) for a, p in zip(before, f.params()))
+
+
+def test_cache_size_counts_a_shared_buffer_once():
+    f = layers.build_residual_function({"kind": "conv", "channels": 2}, rng(5))
+    x = rng(6).normal(size=(2, 2, 4, 4))
+    f.forward(x, train=True)
+    # conv1's input, and the ReLU output that both the ReLU and conv2 hold
+    assert f.cache_size() == 2 * x.size
+    assert len(f.cached_arrays()) == 3
+
+
 def test_linear_identity():
     layer = layers.Linear(2, 2, rng=rng(0))
     layer.w.value[...] = np.eye(2)
-    out = layer.forward(np.array([3.0, 5.0]))
-    assert np.array_equal(out, np.array([3.0, 5.0]))
+    out = layer.forward(np.array([[3.0, 5.0]]))
+    assert np.array_equal(out, np.array([[3.0, 5.0]]))
 
 
 def test_linear_backward_scalar_chain_rule():
     layer = layers.Linear(1, 1, rng=rng(0))
     layer.w.value[...] = [[2.0]]
-    layer.forward(np.array([1.5]))
-    gx = layer.backward(np.array([3.0]))
-    assert np.array_equal(gx, np.array([6.0]))
+    layer.forward(np.array([[1.5]]))
+    gx = layer.backward(np.array([[3.0]]))
+    assert np.array_equal(gx, np.array([[6.0]]))
 
 
 def test_sigmoid_at_zero():
@@ -104,19 +155,19 @@ def test_residual_function_linear_tanh_identity_weights():
     f.layers[0].b.value[...] = 0.0
     f.layers[2].w.value[...] = 1.0
     f.layers[2].b.value[...] = 0.0
-    assert f.forward(np.array([0.0]), train=False)[0] == 0.0
-    x = np.array([0.7])
-    assert f.forward(x, train=False)[0] == pytest.approx(np.tanh(0.7))
+    assert f.forward(np.array([[0.0]]), train=False)[0, 0] == 0.0
+    x = np.array([[0.7]])
+    assert f.forward(x, train=False)[0, 0] == pytest.approx(np.tanh(0.7))
 
 
-@given(st.sampled_from([(1, 4, 8, 8), (1, 2, 4, 4), (16,), (5,)]), st.integers(0, 1000))
+@given(st.sampled_from([(1, 4, 8, 8), (1, 2, 4, 4), (1, 16), (1, 5)]), st.integers(0, 1000))
 @settings(max_examples=20, deadline=None)
 def test_residual_function_preserves_shape(shape, seed):
     r = rng(seed)
     if len(shape) == 4:
         f = layers.build_residual_function({"kind": "conv", "channels": shape[1]}, r)
     else:
-        f = layers.build_residual_function({"kind": "linear", "dim": shape[0]}, r)
+        f = layers.build_residual_function({"kind": "linear", "dim": shape[1]}, r)
     x = r.normal(size=shape)
     assert f.forward(x, train=False).shape == shape
 
@@ -131,6 +182,8 @@ def test_residual_function_bad_descriptor():
 def test_linear_shape_error():
     with pytest.raises(ShapeError):
         layers.Linear(4, 2, rng=rng(0)).forward(np.zeros((2, 5)))
+    with pytest.raises(ShapeError):  # one sample is a 1 x D batch
+        layers.Linear(4, 2, rng=rng(0)).forward(np.zeros(4))
 
 
 def test_checkpoint_roundtrip(tmp_path):

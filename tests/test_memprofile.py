@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,16 +49,50 @@ def test_transient_peak_and_fixed_costs_match_across_modes():
         assert a.transitions == b.transitions
 
 
-def test_segmenter_skips_counted():
-    desc = network.NetworkDescriptor(
-        task="segmentation",
-        input_shape=(1, 8, 8),
-        stages=[dict(width=2, blocks=1, gamma=0.9, mode="reversible"),
-                dict(width=4, blocks=1, gamma=0.9, mode="reversible")],
+def two_stage_descriptor(task, mode, blocks=2):
+    return network.NetworkDescriptor(
+        task=task,
+        input_shape=(1, 16, 16),
+        stages=[dict(width=4, blocks=blocks, gamma=0.9, mode=mode),
+                dict(width=8, blocks=blocks, gamma=0.9, mode=mode)],
+        num_classes=3,
     )
-    net = network.build(desc, seed=0)
-    ledger = memprofile.profile_forward(net, rng(2).normal(size=(3, 1, 8, 8)))
-    assert ledger.total == ledger.chain_states + ledger.transitions
+
+
+def test_segmenter_skips_counted():
+    # the ledger's total is the bytes a train predict leaves held, in both
+    # tasks and modes: every buffer counts once, whatever holds it
+    for task in ("segmentation", "classification"):
+        for mode in ("stored", "reversible"):
+            net = network.build(two_stage_descriptor(task, mode), seed=0)
+            tracemalloc.start()
+            try:
+                batch = rng(2).normal(size=(4, 1, 16, 16))  # the stem caches it
+                net.predict(batch, train=True)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            ledger = net.memory_ledger()
+            assert ledger.total <= ledger.chain_states + ledger.transitions
+            assert ledger.total * 8 == pytest.approx(held, rel=0.02), (task, mode)
+
+
+def test_backward_frees_activations_at_last_read():
+    net = network.build(two_stage_descriptor("classification", "reversible", blocks=4),
+                        seed=0)
+    state_bytes = 4 * 4 * 16 * 16 * 8  # one first-stage state array
+    tracemalloc.start()
+    try:
+        batch = rng(3).normal(size=(4, 1, 16, 16))
+        logits = net.predict(batch, train=True)
+        g = rng(4).normal(size=logits.shape)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        net.train_backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 8 * state_bytes
 
 
 def test_profile_clears_caches():

@@ -34,16 +34,16 @@ def conv_f(seed, channels=2):
 
 def test_forward_with_zero_f():
     block = MomentumBlock(0.9, zero_f())
-    out = block.forward(MomentumState(np.array([1.0]), np.array([2.0])))
-    assert out.v == pytest.approx([1.8])
-    assert out.x == pytest.approx([2.8])
+    out = block.forward(MomentumState(np.array([[1.0]]), np.array([[2.0]])))
+    assert out.v.item() == pytest.approx(1.8)
+    assert out.x.item() == pytest.approx(2.8)
 
 
 def test_forward_identity_f():
     block = MomentumBlock(0.5, scaled_identity_f())
-    out = block.forward(MomentumState(np.array([2.0]), np.array([0.0])))
-    assert out.v == pytest.approx([1.0])
-    assert out.x == pytest.approx([3.0])
+    out = block.forward(MomentumState(np.array([[2.0]]), np.array([[0.0]])))
+    assert out.v.item() == pytest.approx(1.0)
+    assert out.x.item() == pytest.approx(3.0)
 
 
 def test_gamma_zero_is_plain_residual_bitwise():
@@ -59,9 +59,9 @@ def test_gamma_zero_is_plain_residual_bitwise():
 
 def test_inverse_identity_f():
     block = MomentumBlock(0.5, scaled_identity_f())
-    back = block.inverse(MomentumState(np.array([3.0]), np.array([1.0])))
-    assert back.x == pytest.approx([2.0])
-    assert back.v == pytest.approx([0.0])
+    back = block.inverse(MomentumState(np.array([[3.0]]), np.array([[1.0]])))
+    assert back.x.item() == pytest.approx(2.0)
+    assert back.v.item() == pytest.approx(0.0)
 
 
 def test_inverse_gamma_one_keeps_velocity():
@@ -100,7 +100,7 @@ def test_reversible_requires_positive_gamma():
     with pytest.raises(NotInvertibleError):
         MomentumChain([MomentumBlock(0.0, zero_f())], REVERSIBLE)
     with pytest.raises(NotInvertibleError):
-        MomentumBlock(0.0, zero_f()).inverse(MomentumState(np.zeros(1), np.zeros(1)))
+        MomentumBlock(0.0, zero_f()).inverse(MomentumState(np.zeros((1, 1)), np.zeros((1, 1))))
 
 
 def test_reversible_chain_rejects_any_gamma_zero_block_at_construction():
@@ -117,15 +117,15 @@ def test_reversible_chain_rejects_any_gamma_zero_block_at_construction():
 
 def test_chain_zero_dynamics_stationary():
     chain = MomentumChain([MomentumBlock(0.5, zero_f()) for _ in range(3)])
-    out = chain.forward(np.array([1.0]), train=False)
-    assert out.x == pytest.approx([1.0])
-    assert out.v == pytest.approx([0.0])
+    out = chain.forward(np.array([[1.0]]), train=False)
+    assert out.x.item() == pytest.approx(1.0)
+    assert out.v.item() == pytest.approx(0.0)
 
 
 def test_chain_gamma_zero_doubles():
     chain = MomentumChain([MomentumBlock(0.0, scaled_identity_f()) for _ in range(2)])
-    out = chain.forward(np.array([1.0]), train=False)
-    assert out.x == pytest.approx([4.0])
+    out = chain.forward(np.array([[1.0]]), train=False)
+    assert out.x.item() == pytest.approx(4.0)
 
 
 def test_chain_modes_agree_bitwise():
@@ -141,20 +141,20 @@ def test_chain_modes_agree_bitwise():
 def test_chain_backward_frozen_zero_f():
     block = MomentumBlock(0.7, zero_f())
     chain = MomentumChain([block])
-    chain.forward(np.array([1.0]), train=True)
-    assert chain.backward(np.array([1.0])) == pytest.approx([1.0])
-    gx, gv = block.backward_step(np.array([1.0]), np.array([1.0]), np.array([0.0]))
-    assert gx == pytest.approx([1.0])
-    assert gv == pytest.approx([0.7])
+    chain.forward(np.array([[1.0]]), train=True)
+    assert chain.backward(np.array([[1.0]])).item() == pytest.approx(1.0)
+    gx, gv = block.backward_step(np.array([[1.0]]), np.array([[1.0]]), np.array([[0.0]]))
+    assert gx.item() == pytest.approx(1.0)
+    assert gv.item() == pytest.approx(0.7)
 
 
 def test_chain_backward_resnet_endpoint_grads():
     # gamma=0, f(x) = w*x with w=2: x1 = x0 + w*x0; d/dw = x0, d/dx0 = 1 + w
     block = MomentumBlock(0.0, scaled_identity_f(w=2.0))
     chain = MomentumChain([block])
-    chain.forward(np.array([3.0]), train=True)
-    gx = chain.backward(np.array([1.0]))
-    assert gx == pytest.approx([3.0])
+    chain.forward(np.array([[3.0]]), train=True)
+    gx = chain.backward(np.array([[1.0]]))
+    assert gx.item() == pytest.approx(3.0)
     w_param = block.f.layers[0].w
     assert w_param.grad[0, 0] == pytest.approx(3.0)
 
@@ -182,8 +182,8 @@ def _grads(chain, x0, w):
 @pytest.mark.parametrize("seed", range(5))
 def test_depth10_stored_vs_reversible_and_fd(seed):
     depth = 10
-    x0 = rng(500 + seed).normal(size=6)
-    w = rng(600 + seed).normal(size=6)
+    x0 = rng(500 + seed).normal(size=(1, 6))
+    w = rng(600 + seed).normal(size=(1, 6))
     stored = _linear_chain(depth, 0.9, STORED, seed)
     rev = _linear_chain(depth, 0.9, REVERSIBLE, seed)
     gx_s, pg_s = _grads(stored, x0, w)
@@ -204,7 +204,7 @@ def test_depth10_stored_vs_reversible_and_fd(seed):
 def test_backward_without_forward_raises():
     chain = _linear_chain(2, 0.9, STORED, 0)
     with pytest.raises(StateError):
-        chain.backward(np.zeros(6))
+        chain.backward(np.zeros((1, 6)))
 
 
 def test_float32_roundtrip_error_documented():

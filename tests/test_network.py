@@ -214,6 +214,26 @@ def test_backward_frees_every_cache(make):
     assert net.memory_ledger().total == 0
 
 
+def test_reversible_head_input_is_counted_once():
+    net = network.build(micro_seg_descriptor(), seed=9)
+    net.predict(rng(10).normal(size=(2, 1, 4, 4)), train=True)
+    (head_input,) = net.head.cached_arrays()
+    assert any(a is head_input for a in net.dec_chains[-1].retained_arrays())
+    ledger = net.memory_ledger()
+    assert ledger.total == ledger.chain_states + ledger.transitions - head_input.size
+
+
+def test_stored_chain_input_is_the_relu_output_counted_once():
+    desc = micro_cls_descriptor()
+    desc.stages[0].mode = "stored"
+    net = network.build(desc, seed=11)
+    net.predict(rng(12).normal(size=(2, 1, 4, 4)), train=True)
+    relu_out = net.stem.layers[1].cached_arrays()[0]
+    assert net.stage_chains[0].retained_arrays()[0] is relu_out
+    ledger = net.memory_ledger()
+    assert ledger.total == ledger.chain_states + ledger.transitions - relu_out.size
+
+
 def test_train_forward_holds_activations_only_in_layer_caches_and_chain_states():
     desc = micro_seg_descriptor()
     for s in desc.stages:
