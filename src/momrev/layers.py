@@ -97,12 +97,8 @@ class Layer:
 
 
 class Linear(Layer):
-    def __init__(self, d_in, d_out, rng, init="xavier", dtype=np.float64, name="linear"):
-        if init == "he":
-            w = he_uniform(rng, (d_out, d_in), d_in, dtype)
-        else:
-            w = xavier_uniform(rng, (d_out, d_in), d_in, d_out, dtype)
-        self.w = Param(f"{name}.w", w)
+    def __init__(self, d_in, d_out, rng, dtype=np.float64, name="linear"):
+        self.w = Param(f"{name}.w", xavier_uniform(rng, (d_out, d_in), d_in, d_out, dtype))
         self.b = Param(f"{name}.b", np.zeros(d_out, dtype=dtype))
 
     def params(self):
@@ -123,8 +119,11 @@ class Linear(Layer):
 
 
 class Conv2d(Layer):
-    def __init__(self, c_in, c_out, k, stride=1, padding=0, *, rng, init="xavier",
-                 dtype=np.float64, name="conv"):
+    """Same-padded, stride-1 k x k convolution (k odd): B x C_in x H x W ->
+    B x C_out x H x W. See `tensor.conv2d_batched`."""
+
+    def __init__(self, c_in, c_out, k, *, rng, init="xavier", dtype=np.float64,
+                 name="conv"):
         fan_in = c_in * k * k
         fan_out = c_out * k * k
         shape = (c_out, c_in, k, k)
@@ -134,14 +133,12 @@ class Conv2d(Layer):
             w = xavier_uniform(rng, shape, fan_in, fan_out, dtype)
         self.w = Param(f"{name}.w", w)
         self.b = Param(f"{name}.b", np.zeros(c_out, dtype=dtype))
-        self.stride = stride
-        self.padding = padding
 
     def params(self):
         return [self.w, self.b]
 
     def forward(self, x, train=True):
-        y = tensor.conv2d_batched(x, self.w.value, self.stride, self.padding)
+        y = tensor.conv2d_batched(x, self.w.value)
         y += self.b.value[None, :, None, None]
         if train:
             self._cache = x
@@ -149,21 +146,21 @@ class Conv2d(Layer):
 
     def backward(self, gy):
         x = self._take_cache()
-        s, p = self.stride, self.padding
         co, ci, kh, kw = self.w.value.shape
-        b, _, oh, ow = gy.shape
-        h, w = x.shape[2:]
+        b, _, h, w = gy.shape
+        p = kh // 2
         # weight grads, then input grads: each pass holds one copy of gy,
         # and the taps accumulate in the same order as one joint loop. Both use
         # the forward's rows (tensor.flat_padded): offset (i, j) starts at i*W' + j
-        xf, hp, wp = tensor.flat_padded(x, p, kh, kw)
+        xf, hp, wp = tensor.flat_padded(x, kh)
         n = b * hp * wp
         xp = xf[:n].reshape(b, hp, wp, ci)
         gy_by_channel = gy.transpose(1, 0, 2, 3).reshape(co, -1)
         for i in range(kh):
             for j in range(kw):
+                # an unnamed patch dies here; a named one would outlive the loop
                 self.w.grad[:, :, i, j] += np.dot(
-                    gy_by_channel, tensor.patch_rows(xp, i, j, s, oh, ow)
+                    gy_by_channel, xp[:, i : i + h, j : j + w].reshape(-1, ci)
                 )
         del xp, gy_by_channel
         gxf = xf  # the input gradient has the input's rows: reuse the buffer
@@ -174,7 +171,7 @@ class Conv2d(Layer):
         # memory; a half's slices reach past its images only with zero rows.
         for lo, hi in ((0, b // 2), (b // 2, b)):
             gy_rows = np.zeros((hi - lo, hp, wp, co), dtype=gy.dtype)
-            gy_rows[:, : s * oh : s, : s * ow : s, :] = gy[lo:hi].transpose(0, 2, 3, 1)
+            gy_rows[:, :h, :w, :] = gy[lo:hi].transpose(0, 2, 3, 1)
             gy_rows = gy_rows.reshape(-1, co)
             for i in range(kh):
                 for j in range(kw):
@@ -322,9 +319,9 @@ def build_residual_function(desc: dict, rng, dtype=np.float64, name="f") -> Sequ
             raise ConfigError(f"residual conv descriptor needs positive channels, got {c!r}")
         return Sequential(
             [
-                Conv2d(c, c, 3, padding=1, rng=rng, init="he", dtype=dtype, name=f"{name}.conv1"),
+                Conv2d(c, c, 3, rng=rng, init="he", dtype=dtype, name=f"{name}.conv1"),
                 ReLU(),
-                Conv2d(c, c, 3, padding=1, rng=rng, init="xavier", dtype=dtype, name=f"{name}.conv2"),
+                Conv2d(c, c, 3, rng=rng, init="xavier", dtype=dtype, name=f"{name}.conv2"),
             ],
             name=name,
         )
@@ -334,9 +331,9 @@ def build_residual_function(desc: dict, rng, dtype=np.float64, name="f") -> Sequ
             raise ConfigError(f"residual linear descriptor needs positive dim, got {d!r}")
         return Sequential(
             [
-                Linear(d, d, rng=rng, init="xavier", dtype=dtype, name=f"{name}.lin1"),
+                Linear(d, d, rng=rng, dtype=dtype, name=f"{name}.lin1"),
                 Tanh(),
-                Linear(d, d, rng=rng, init="xavier", dtype=dtype, name=f"{name}.lin2"),
+                Linear(d, d, rng=rng, dtype=dtype, name=f"{name}.lin2"),
             ],
             name=name,
         )

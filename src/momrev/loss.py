@@ -8,7 +8,7 @@ independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .layers import sigmoid
 class LossValue:
     total: float
     grad: np.ndarray
-    components: dict = field(default_factory=dict)
 
 
 def _check_binary_targets(logits, targets):
@@ -38,7 +37,7 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> LossValue:
     n = z.size
     total = float(per_elt.sum() / n)
     grad = (sigmoid(z) - t) / n
-    return LossValue(total, grad.astype(z.dtype), {"bce": total})
+    return LossValue(total, grad.astype(z.dtype))
 
 
 def soft_dice_loss(logits: np.ndarray, targets: np.ndarray, smooth: float = 1.0) -> LossValue:
@@ -62,7 +61,7 @@ def soft_dice_loss(logits: np.ndarray, targets: np.ndarray, smooth: float = 1.0)
     den = denom + smooth
     ddice_dp = (2.0 * t * den.reshape(shape) - num.reshape(shape)) / (den ** 2).reshape(shape)
     grad = (-ddice_dp) * p * (1.0 - p) / b
-    return LossValue(total, grad.astype(z.dtype), {"dice": total})
+    return LossValue(total, grad.astype(z.dtype))
 
 
 def hybrid_loss(logits: np.ndarray, targets: np.ndarray, bce_weight: float = 1.0,
@@ -71,7 +70,7 @@ def hybrid_loss(logits: np.ndarray, targets: np.ndarray, bce_weight: float = 1.0
     dice = soft_dice_loss(logits, targets, smooth=smooth)
     total = bce_weight * bce.total + dice_weight * dice.total
     grad = bce_weight * bce.grad + dice_weight * dice.grad
-    return LossValue(total, grad, {"bce": bce.total, "dice": dice.total})
+    return LossValue(total, grad)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> LossValue:
@@ -91,4 +90,4 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> LossValue:
     grad = softmax.copy()
     grad[np.arange(b), labels] -= 1.0
     grad /= b
-    return LossValue(total, grad.astype(logits.dtype), {"ce": total})
+    return LossValue(total, grad.astype(logits.dtype))

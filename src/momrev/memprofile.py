@@ -33,28 +33,27 @@ def profile_forward(net, batch: np.ndarray) -> network_mod.MemoryLedger:
 
 
 def compare_modes(descriptor: network_mod.NetworkDescriptor, batch: np.ndarray,
-                  depths: list[int], seed: int = 0, dtype=np.float64):
+                  depths: list[int]):
     """Ledger rows over chain depths for both backward modes.
 
     Every stage of the descriptor is rebuilt with `blocks=depth` and the
-    requested mode; returns one row per (depth, mode) with its values in
-    LEDGER_COLUMNS order, ready for `metrics.render_csv`.
+    requested mode, from seed 0 in float64; returns one row per (depth,
+    mode) with its values in LEDGER_COLUMNS order, ready for
+    `metrics.render_csv`.
     """
     rows = []
     for depth in depths:
         for mode in ("stored", "reversible"):
-            stages = [
-                network_mod.StageSpec(s.width, depth, s.gamma if s.gamma > 0 else 0.9, mode)
-                for s in descriptor.stages
-            ]
+            stages = [network_mod.StageSpec(s.width, depth, s.gamma, mode)
+                      for s in descriptor.stages]
             desc = network_mod.NetworkDescriptor(
                 task=descriptor.task,
                 input_shape=descriptor.input_shape,
                 stages=stages,
                 num_classes=descriptor.num_classes,
             )
-            net = network_mod.build(desc, seed=seed, dtype=dtype)
-            ledger = profile_forward(net, batch.astype(dtype))
+            net = network_mod.build(desc, seed=0)
+            ledger = profile_forward(net, batch.astype(np.float64))
             rows.append([depth, mode, ledger.chain_states, ledger.f_transient_peak,
                          ledger.transitions, ledger.total])
     return rows

@@ -120,7 +120,6 @@ def accuracy_mcc(confusion: np.ndarray):
 @dataclass
 class SegmentationReport:
     per_image: list  # rows of (dsc, iou, recall, precision, f2, hd)
-    hd_variant: str = "max"
 
     @property
     def means(self):
@@ -137,7 +136,7 @@ def evaluate_masks(preds: list, gts: list, hd_variant: str = "max") -> Segmentat
         dsc, iou, rec, prec, f2 = dice_iou_prf(p, g)
         hd = hausdorff(p, g, variant=hd_variant)
         rows.append((dsc, iou, rec, prec, f2, hd))
-    return SegmentationReport(rows, hd_variant)
+    return SegmentationReport(rows)
 
 
 def _fmt(v):

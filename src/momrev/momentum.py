@@ -15,11 +15,12 @@ is invertible:
 
 which is what lets a chain run backward without caching per-block states.
 The backward mode belongs to the chain, not to its blocks: a stored chain
-retains the input state of every block, a reversible chain retains only
-its final state and rebuilds the others by inversion, so it refuses any
-gamma = 0 block when it is built. Both modes recompute f's internals from
-the block input (retained or reconstructed), so the per-block working set
-is identical; the modes differ only in how many chain states they retain.
+retains the input activation of every block (its backward never reads a
+velocity), a reversible chain retains only its final state and rebuilds
+the others by inversion, so it refuses any gamma = 0 block when it is
+built. Both modes recompute f's internals from the block input (retained
+or reconstructed), so the per-block working set is identical; the modes
+differ only in how much chain state they retain.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ class MomentumState:
     def __post_init__(self):
         if self.x.shape != self.v.shape:
             raise ConfigError(f"state shapes differ: {self.x.shape} vs {self.v.shape}")
-
-    @property
-    def size(self) -> int:
-        return self.x.size + self.v.size
 
 
 STORED = "stored"
@@ -98,11 +95,12 @@ class MomentumChain:
     from zero velocity.
 
     State i is the input of block i and state n the chain output. A
-    train-mode forward keeps the states its mode needs in `_saved`: stored
-    mode keeps 0..n-1 (2*S*n scalars for state size S), reversible mode
-    keeps only n (2*S scalars). Backward takes `_saved` over and pops each
-    block input from it when it is there, inverting the next state when it
-    is not, so every state is freed once its block is done.
+    train-mode forward keeps what its mode's backward reads in `_saved`:
+    stored mode keeps the activations x of states 0..n-1 (S*n scalars for
+    state size S; backward never reads a stored velocity), reversible mode
+    keeps only state n (2*S scalars). Backward takes `_saved` over and pops
+    each block input from it when it is there, inverting the next state
+    when it is not, so every state is freed once its block is done.
     """
 
     def __init__(self, blocks: list[MomentumBlock], mode: str = STORED, name="chain"):
@@ -113,7 +111,7 @@ class MomentumChain:
         self.blocks = list(blocks)
         self.mode = mode
         self.name = name
-        self._saved: dict[int, MomentumState] | None = None
+        self._saved: dict[int, np.ndarray | MomentumState] | None = None
         self.f_transient_peak = 0
 
     def params(self):
@@ -129,7 +127,7 @@ class MomentumChain:
         peak = 0
         for i, block in enumerate(self.blocks):
             if train and self._retains(i):
-                saved[i] = state
+                saved[i] = state.x
             block.f.clear_cache()
             out = block.forward(state, train=train)
             peak = max(peak, block.f.cache_size())
@@ -151,13 +149,15 @@ class MomentumChain:
         state = saved.pop(len(self.blocks), None)
         for i in reversed(range(len(self.blocks))):
             block = self.blocks[i]
-            state = saved.pop(i) if i in saved else block.inverse(state)
-            gx, gv = block.backward_step(state.x, gx, gv)
+            if i not in saved:
+                state = block.inverse(state)
+            gx, gv = block.backward_step(saved.pop(i) if i in saved else state.x, gx, gv)
         return gx
 
     def retained_arrays(self) -> list[np.ndarray]:
         """Chain-state arrays currently held for a pending backward."""
-        return [a for s in (self._saved or {}).values() for a in (s.x, s.v)]
+        return [a for s in (self._saved or {}).values()
+                for a in ((s.x, s.v) if isinstance(s, MomentumState) else (s,))]
 
     def clear(self):
         self._saved = None

@@ -157,7 +157,7 @@ class ClassifierNet(Network):
         c_in = descriptor.input_shape[0]
         stages = descriptor.stages
         self.stem = Sequential(
-            [Conv2d(c_in, stages[0].width, 3, padding=1, rng=rng, init="he",
+            [Conv2d(c_in, stages[0].width, 3, rng=rng, init="he",
                     dtype=dtype, name="stem.conv"), ReLU()],
             name="stem",
         )
@@ -170,7 +170,7 @@ class ClassifierNet(Network):
             if i + 1 < len(stages):
                 self.downs.append(
                     Sequential(
-                        [Conv2d(s.width, stages[i + 1].width, 3, padding=1, rng=rng,
+                        [Conv2d(s.width, stages[i + 1].width, 3, rng=rng,
                                 init="he", dtype=dtype, name=f"down{i}.conv"),
                          ReLU(), MaxPool2()],
                         name=f"down{i}",
@@ -178,8 +178,8 @@ class ClassifierNet(Network):
                 )
         self.head = Sequential(
             [GlobalAvgPool(),
-             Linear(stages[-1].width, descriptor.num_classes, rng=rng, init="xavier",
-                    dtype=dtype, name="head.fc")],
+             Linear(stages[-1].width, descriptor.num_classes, rng=rng, dtype=dtype,
+                    name="head.fc")],
             name="head",
         )
 
@@ -223,7 +223,7 @@ class SegmenterNet(Network):
         stages = descriptor.stages
         m = len(stages)
         self.stem = Sequential(
-            [Conv2d(c_in, stages[0].width, 3, padding=1, rng=rng, init="he",
+            [Conv2d(c_in, stages[0].width, 3, rng=rng, init="he",
                     dtype=dtype, name="stem.conv"), ReLU()],
             name="stem",
         )
@@ -237,7 +237,7 @@ class SegmenterNet(Network):
                 self.downs.append(
                     Sequential(
                         [MaxPool2(),
-                         Conv2d(s.width, stages[i + 1].width, 3, padding=1, rng=rng,
+                         Conv2d(s.width, stages[i + 1].width, 3, rng=rng,
                                 init="he", dtype=dtype, name=f"down{i}.conv"),
                          ReLU()],
                         name=f"down{i}",
@@ -252,7 +252,7 @@ class SegmenterNet(Network):
             self.ups.append(
                 Sequential(
                     [Upsample2(),
-                     Conv2d(stages[i + 1].width, wi, 3, padding=1, rng=rng, init="he",
+                     Conv2d(stages[i + 1].width, wi, 3, rng=rng, init="he",
                             dtype=dtype, name=f"up{i}.conv"),
                      ReLU()],
                     name=f"up{i}",
@@ -260,7 +260,7 @@ class SegmenterNet(Network):
             )
             self.fuses.append(
                 Sequential(
-                    [Conv2d(2 * wi, wi, 3, padding=1, rng=rng, init="he",
+                    [Conv2d(2 * wi, wi, 3, rng=rng, init="he",
                             dtype=dtype, name=f"fuse{i}.conv"),
                      ReLU()],
                     name=f"fuse{i}",

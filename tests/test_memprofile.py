@@ -26,11 +26,11 @@ def ledger_for(mode, blocks, batch_size=2, width=4, hw=8):
 
 
 @pytest.mark.parametrize("blocks", [1, 2, 4, 8, 16])
-def test_stored_chain_memory_is_two_state_sizes_per_block(blocks):
+def test_stored_chain_memory_is_one_state_size_per_block(blocks):
     batch_size, width, hw = 2, 4, 8
     state = batch_size * width * hw * hw
     ledger = ledger_for("stored", blocks, batch_size, width, hw)
-    assert ledger.chain_states == 2 * state * blocks
+    assert ledger.chain_states == state * blocks
 
 
 @pytest.mark.parametrize("blocks", [1, 2, 4, 8, 16])
@@ -127,7 +127,7 @@ def test_compare_modes_rows_and_scaling():
     state = 2 * 4 * 8 * 8
     by = {(r[0], r[1]): dict(zip(memprofile.LEDGER_COLUMNS, r)) for r in rows}
     for d in depths:
-        assert by[(d, "stored")]["chain_states"] == 2 * state * d
+        assert by[(d, "stored")]["chain_states"] == state * d
         assert by[(d, "reversible")]["chain_states"] == 2 * state
         assert (by[(d, "stored")]["f_transient_peak"]
                 == by[(d, "reversible")]["f_transient_peak"])

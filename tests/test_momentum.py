@@ -12,7 +12,7 @@ from momrev.momentum import (
     MomentumChain,
     MomentumState,
 )
-from momrev.verify import fd_grad, rel_err
+from momrev.verify import collect_grads, fd_grad, rel_err
 from util import rng
 
 
@@ -170,13 +170,17 @@ def _linear_chain(depth, gamma, mode, seed, dim=6):
     return MomentumChain(blocks, mode)
 
 
-def _grads(chain, x0, w):
-    for p in chain.params():
-        p.zero_grad()
-    chain.clear()
-    chain.forward(x0.copy(), train=True)
-    gx = chain.backward(w.copy())
-    return gx, np.concatenate([p.grad.ravel() for p in chain.params()])
+def test_stored_chain_retains_only_block_inputs():
+    chain = MomentumChain([MomentumBlock(0.9, conv_f(seed)) for seed in range(3)], STORED)
+    x0 = rng(7).normal(size=(2, 2, 4, 4))
+    state, inputs = MomentumState(x0, np.zeros_like(x0)), []
+    for block in chain.blocks:
+        inputs.append(state.x)
+        state = block.forward(state)
+    chain.forward(x0, train=True)
+    held = chain.retained_arrays()
+    assert len(held) == 3 and held[0] is x0
+    assert all(np.array_equal(a, x) for a, x in zip(held, inputs))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -186,8 +190,8 @@ def test_depth10_stored_vs_reversible_and_fd(seed):
     w = rng(600 + seed).normal(size=(1, 6))
     stored = _linear_chain(depth, 0.9, STORED, seed)
     rev = _linear_chain(depth, 0.9, REVERSIBLE, seed)
-    gx_s, pg_s = _grads(stored, x0, w)
-    gx_r, pg_r = _grads(rev, x0, w)
+    gx_s, pg_s = collect_grads(stored, x0, w)
+    gx_r, pg_r = collect_grads(rev, x0, w)
     assert rel_err(gx_s, gx_r) <= 1e-8
     assert rel_err(pg_s, pg_r) <= 1e-8
 
@@ -196,7 +200,7 @@ def test_depth10_stored_vs_reversible_and_fd(seed):
         return float((out.x * w).sum())
 
     assert rel_err(gx_s, fd_grad(loss, x0)) <= 1e-6
-    gx_s, _ = _grads(stored, x0, w)  # refresh accumulators after fd probing
+    gx_s, _ = collect_grads(stored, x0, w)  # refresh accumulators after fd probing
     for p in stored.params()[:4]:  # a parameter subset keeps runtime bounded
         assert rel_err(p.grad, fd_grad(loss, p.value)) <= 1e-6
 

@@ -49,46 +49,33 @@ def test_conv2d_impulse_response():
     inp = np.zeros((1, 1, 5, 5))
     inp[0, 0, 2, 2] = 1.0
     k = rng(3).normal(size=(1, 1, 3, 3))
-    out = tensor.conv2d_batched(inp, k, stride=1, padding=1)
+    out = tensor.conv2d_batched(inp, k)
     # cross-correlation of a delta imprints the kernel flipped around the center
     assert np.allclose(out[0, 0, 1:4, 1:4], k[0, 0, ::-1, ::-1])
 
 
-def test_conv2d_strided_against_explicit_sums():
-    r = rng(4)
-    inp = r.normal(size=(1, 1, 4, 4))
-    k = r.normal(size=(1, 1, 2, 2))
-    out = tensor.conv2d_batched(inp, k, stride=2, padding=0)
-    assert out.shape == (1, 1, 2, 2)
-    for i in range(2):
-        for j in range(2):
-            expected = sum(
-                inp[0, 0, 2 * i + a, 2 * j + b] * k[0, 0, a, b]
-                for a in range(2)
-                for b in range(2)
-            )
-            assert out[0, 0, i, j] == pytest.approx(expected, rel=1e-12)
+def draw_geometry(r):
+    """Batch, channels, an odd k and H x W for a same-padded conv; H or W
+    may be smaller than k."""
+    batch = int(r.integers(1, 3))
+    c_in = int(r.integers(1, 4))
+    c_out = int(r.integers(1, 4))
+    k = int(r.choice([1, 3, 5]))
+    h = int(r.integers(1, 7))
+    w = int(r.choice([v for v in range(1, 7) if v != h]))  # H != W: no transposed index passes
+    return batch, c_in, c_out, k, h, w
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_conv2d_matches_bruteforce(seed):
     r = rng(seed)
-    batch = int(r.integers(1, 3))
-    c_in = int(r.integers(1, 3))
-    c_out = int(r.integers(1, 3))
-    k = int(r.integers(1, 4))
-    stride = int(r.integers(1, 3))
-    padding = int(r.integers(0, 2))
-    h = k + stride * int(r.integers(0, 4)) - 2 * padding
-    w = k + stride * int(r.integers(0, 4)) - 2 * padding
-    if h < 1 or w < 1:
-        return
+    batch, c_in, c_out, k, h, w = draw_geometry(r)
     inp = r.normal(size=(batch, c_in, h, w))
     kern = r.normal(size=(c_out, c_in, k, k))
-    got = tensor.conv2d_batched(inp, kern, stride, padding)
-    want = np.stack([conv2d_bruteforce(x, kern, stride, padding) for x in inp])
-    assert got.shape == want.shape
+    got = tensor.conv2d_batched(inp, kern)
+    want = np.stack([conv2d_bruteforce(x, kern, 1, k // 2) for x in inp])
+    assert got.shape == want.shape == (batch, c_out, h, w)
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -117,24 +104,12 @@ def conv2d_backward_bruteforce(inp, kernels, gy, stride, padding):
 @settings(max_examples=25, deadline=None)
 def test_conv2d_backward_matches_bruteforce(seed):
     r = rng(seed)
-    batch = int(r.integers(1, 3))
-    c_in = int(r.integers(1, 4))
-    c_out = int(r.integers(1, 4))
-    k = int(r.integers(1, 4))
-    stride = int(r.integers(1, 3))
-    padding = int(r.integers(0, 3))
-    # H = k - 2*padding + stride*m for m >= m_min keeps H >= 1 and the geometry valid
-    m_min = max(0, -(-(1 - k + 2 * padding) // stride))
-    m_h = m_min + int(r.integers(0, 3))
-    m_w = m_min + int(r.integers(0, 3))
-    m_w += m_w == m_h  # H != W, so a transposed index cannot pass
-    h = k - 2 * padding + stride * m_h
-    w = k - 2 * padding + stride * m_w
-    conv = layers.Conv2d(c_in, c_out, k, stride, padding, rng=r)
+    batch, c_in, c_out, k, h, w = draw_geometry(r)
+    conv = layers.Conv2d(c_in, c_out, k, rng=r)
     inp = r.normal(size=(batch, c_in, h, w))
     gy = r.normal(size=conv.forward(inp).shape)
     gx = conv.backward(gy)
-    want = [conv2d_backward_bruteforce(x, conv.w.value, g, stride, padding)
+    want = [conv2d_backward_bruteforce(x, conv.w.value, g, 1, k // 2)
             for x, g in zip(inp, gy)]
     assert gx.shape == inp.shape
     assert np.allclose(gx, np.stack([g for g, _ in want]), rtol=1e-12, atol=1e-12)
@@ -142,9 +117,15 @@ def test_conv2d_backward_matches_bruteforce(seed):
     assert np.allclose(conv.b.grad, gy.sum(axis=(0, 2, 3)), rtol=1e-12, atol=1e-12)
 
 
-def test_conv2d_bad_geometry():
+@pytest.mark.parametrize("kh, kw", [(2, 2), (3, 1)])
+def test_conv2d_rejects_even_or_non_square_kernel(kh, kw):
     with pytest.raises(ShapeError):
-        tensor.conv2d_batched(np.zeros((1, 1, 5, 5)), np.zeros((1, 1, 2, 2)), stride=2)
+        tensor.conv2d_batched(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, kh, kw)))
+
+
+def test_conv2d_bad_geometry():
+    with pytest.raises(ShapeError):  # no same padding for an even kernel
+        tensor.conv2d_batched(np.zeros((1, 1, 5, 5)), np.zeros((1, 1, 2, 2)))
     with pytest.raises(ShapeError):  # no batch axis
         tensor.conv2d_batched(np.zeros((1, 4, 4)), np.zeros((1, 1, 3, 3)))
 
