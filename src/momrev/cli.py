@@ -11,6 +11,7 @@ invert. Exit codes: 0 success, 1 verification failure, 2 config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -42,13 +43,13 @@ def _load_config(args) -> train_mod.TrainConfig:
         cfg = train_mod.classification_defaults()
     else:
         raise ConfigError("config: pass --config FILE or --preset")
-    for key in ("lr", "epochs", "batch_size", "patience", "seed"):
-        v = getattr(args, key, None)
-        if v is not None:
-            setattr(cfg, key, v)
+    overrides = {key: getattr(args, key) for key in
+                 ("lr", "epochs", "batch_size", "patience", "seed")
+                 if getattr(args, key, None) is not None}
     if getattr(args, "out", None):
-        cfg.out_dir = args.out
-    return cfg
+        overrides["out_dir"] = args.out
+    # rebuilding runs TrainConfig's validation on the overridden values too
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _metric_table(cfg, name, result):
@@ -100,6 +101,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_memprofile(args) -> int:
+    for flag in ("hw", "batch", "width"):
+        if getattr(args, flag) < 1:
+            raise ConfigError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     descriptor = network_mod.NetworkDescriptor(
         task="classification",
         input_shape=(1, args.hw, args.hw),

@@ -8,10 +8,11 @@ activations. Each category counts distinct buffers, and the total counts
 a buffer held in both (a reversible chain's output that the next layer
 caches, a ReLU output that a stored chain keeps as its first state) once,
 so the total times the itemsize is what the arrays occupy. The per-block
-working set of a residual function is transient in both backward modes
-(stored mode recomputes f from the cached block input, reversible mode
-from the reconstructed one), so it is reported as a peak, separately from
-the retained total.
+working set of a residual function is transient in both backward modes:
+backward evaluates each f once, on the retained block input in stored
+mode and inside `inverse` in reversible mode, and frees its caches when
+the block is done. So it is reported as a peak, separately from the
+retained total.
 """
 
 from __future__ import annotations

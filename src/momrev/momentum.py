@@ -18,9 +18,12 @@ The backward mode belongs to the chain, not to its blocks: a stored chain
 retains the input activation of every block (its backward never reads a
 velocity), a reversible chain retains only its final state and rebuilds
 the others by inversion, so it refuses any gamma = 0 block when it is
-built. Both modes recompute f's internals from the block input (retained
-or reconstructed), so the per-block working set is identical; the modes
-differ only in how much chain state they retain.
+built. Backward evaluates each block's f once, in train mode: on the
+retained input in stored mode, and inside `inverse` in reversible mode,
+where the one f(x) both recovers v and fills the caches f.backward reads
+(RevNet's backward, Gomez et al. 2017). So the two modes make the same f
+evaluations with the same per-block working set, and differ only in how
+much chain state they retain.
 """
 
 from __future__ import annotations
@@ -62,24 +65,26 @@ class MomentumBlock:
             raise NumericError("momentum forward produced non-finite state")
         return MomentumState(x_next, v_next)
 
-    def inverse(self, state_next: MomentumState) -> MomentumState:
+    def inverse(self, state_next: MomentumState, train=False) -> MomentumState:
+        """The block input; in train mode f keeps the caches of f(x) for
+        `backward_step`, and the result is the same either way."""
         if self.gamma == 0.0:
             raise NotInvertibleError("gamma == 0 block has no inverse")
         x = state_next.x - state_next.v
-        fx = self.f.forward(x, train=False)
+        fx = self.f.forward(x, train=train)
         v = (state_next.v - (1.0 - self.gamma) * fx) / self.gamma
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
             raise NumericError("momentum inverse produced non-finite state")
         return MomentumState(x, v)
 
-    def backward_step(self, x_in: np.ndarray, gx_next: np.ndarray, gv_next: np.ndarray):
-        """Grads through one block given its input activation.
+    def backward_step(self, gx_next: np.ndarray, gv_next: np.ndarray):
+        """Grads through one block whose f has just run in train mode on the
+        block input (`f.forward(x, train=True)` or `inverse(s, train=True)`).
 
-        Returns (gx, gv). Recomputes f(x_in) to populate f's caches, then
-        routes: u = gx' + gv' flows into v'; the f path carries (1-gamma)*u
-        and the velocity path carries gamma*u.
+        Returns (gx, gv). Runs no f of its own, only routes: u = gx' + gv'
+        flows into v'; the f path carries (1-gamma)*u through f.backward and
+        the velocity path carries gamma*u.
         """
-        self.f.forward(x_in, train=True)
         u = gx_next + gv_next
         gx_f = self.f.backward((1.0 - self.gamma) * u)
         gx = gx_next + gx_f
@@ -98,9 +103,10 @@ class MomentumChain:
     train-mode forward keeps what its mode's backward reads in `_saved`:
     stored mode keeps the activations x of states 0..n-1 (S*n scalars for
     state size S; backward never reads a stored velocity), reversible mode
-    keeps only state n (2*S scalars). Backward takes `_saved` over and pops
-    each block input from it when it is there, inverting the next state
-    when it is not, so every state is freed once its block is done.
+    keeps only state n (2*S scalars). Backward takes `_saved` over and
+    evaluates each block's f once, in train mode: on the block input it
+    pops from `_saved` when it is there, inside `inverse` of the next state
+    when it is not. Every state is freed once its block is done.
     """
 
     def __init__(self, blocks: list[MomentumBlock], mode: str = STORED, name="chain"):
@@ -149,9 +155,11 @@ class MomentumChain:
         state = saved.pop(len(self.blocks), None)
         for i in reversed(range(len(self.blocks))):
             block = self.blocks[i]
-            if i not in saved:
-                state = block.inverse(state)
-            gx, gv = block.backward_step(saved.pop(i) if i in saved else state.x, gx, gv)
+            if i in saved:
+                block.f.forward(saved.pop(i), train=True)
+            else:
+                state = block.inverse(state, train=True)
+            gx, gv = block.backward_step(gx, gv)
         return gx
 
     def retained_arrays(self) -> list[np.ndarray]:

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import loss as loss_mod
 from . import metrics as metrics_mod
+from .errors import ConfigError
 from .layers import build_residual_function
 from .momentum import REVERSIBLE, STORED, MomentumBlock, MomentumState, build_chain
 
@@ -286,6 +287,8 @@ def suite_metric_oracles(cases=200, seed=19) -> VerifyResult:
 
 
 def run_all(depth=10, gamma=0.9) -> list[VerifyResult]:
+    if depth < 1:
+        raise ConfigError(f"verify depth must be >= 1, got {depth}")
     results = [suite_inversion_roundtrip(), suite_resnet_endpoint()]
     if gamma > 0.0:
         # inversion-based sweeps need gamma > 0; the plain residual

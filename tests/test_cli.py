@@ -121,6 +121,13 @@ def test_verify_gamma_zero_stored_passes(capsys):
     assert not any("chain_roundtrip" in l or "gradient_modes" in l for l in lines)
 
 
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_verify_nonpositive_depth_exit_code(capsys, depth):
+    code, out, err = run(["verify", "--depth", depth], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("flags", [["--mode", "stored"], ["--dtype", "f32"]],
                          ids=["mode", "dtype"])
 def test_verify_has_no_mode_or_dtype_flag(capsys, flags):
@@ -223,6 +230,24 @@ def test_memprofile_bad_depths_usage_error(capsys):
         cli.main(["memprofile", "--depths", "x"])
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--hw", "--batch", "--width"])
+def test_memprofile_nonpositive_size_exit_code(capsys, flag):
+    code, out, err = run(["memprofile", "--depths", "1", flag, "0"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and flag in err
+
+
+@pytest.mark.parametrize("flags", [["--batch-size", "0"], ["--epochs", "-2"]],
+                         ids=["batch-size", "epochs"])
+def test_invalid_flag_override_exit_code(tmp_path, capsys, flags):
+    out_dir = tmp_path / "run"
+    code, _, err = run(["train", "--preset", "classification", *flags,
+                        "--out", str(out_dir)], capsys)
+    assert code == 2
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert not out_dir.exists()
 
 
 def test_reversible_gamma_zero_config_exit_code(tmp_path, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momrev.errors import ConfigError, NotInvertibleError, StateError
-from momrev.layers import Linear, Sequential, build_residual_function
+from momrev.layers import Conv2d, Linear, Sequential, build_residual_function
 from momrev.momentum import (
     REVERSIBLE,
     STORED,
@@ -28,8 +28,9 @@ def scaled_identity_f(dim=1, w=1.0):
     return Sequential([lin], name="scaled")
 
 
-def conv_f(seed, channels=2):
-    return build_residual_function({"kind": "conv", "channels": channels}, rng(seed))
+def conv_f(seed, channels=2, dtype=np.float64):
+    return build_residual_function({"kind": "conv", "channels": channels}, rng(seed),
+                                   dtype=dtype)
 
 
 def test_forward_with_zero_f():
@@ -143,9 +144,18 @@ def test_chain_backward_frozen_zero_f():
     chain = MomentumChain([block])
     chain.forward(np.array([[1.0]]), train=True)
     assert chain.backward(np.array([[1.0]])).item() == pytest.approx(1.0)
-    gx, gv = block.backward_step(np.array([[1.0]]), np.array([[1.0]]), np.array([[0.0]]))
+    block.f.forward(np.array([[1.0]]), train=True)
+    gx, gv = block.backward_step(np.array([[1.0]]), np.array([[0.0]]))
     assert gx.item() == pytest.approx(1.0)
     assert gv.item() == pytest.approx(0.7)
+
+
+def test_backward_step_needs_a_train_mode_f():
+    block = MomentumBlock(0.7, conv_f(3))
+    s = MomentumState(rng(4).normal(size=(1, 2, 4, 4)), rng(5).normal(size=(1, 2, 4, 4)))
+    block.inverse(s)
+    with pytest.raises(StateError):
+        block.backward_step(np.ones((1, 2, 4, 4)), np.zeros((1, 2, 4, 4)))
 
 
 def test_chain_backward_resnet_endpoint_grads():
@@ -203,6 +213,65 @@ def test_depth10_stored_vs_reversible_and_fd(seed):
     gx_s, _ = collect_grads(stored, x0, w)  # refresh accumulators after fd probing
     for p in stored.params()[:4]:  # a parameter subset keeps runtime bounded
         assert rel_err(p.grad, fd_grad(loss, p.value)) <= 1e-6
+
+
+def _conv_chain(depth, gamma, mode, dtype=np.float64):
+    return MomentumChain(
+        [MomentumBlock(gamma, conv_f(900 + j, dtype=dtype)) for j in range(depth)], mode)
+
+
+@pytest.mark.parametrize("mode", [STORED, REVERSIBLE])
+def test_chain_backward_evaluates_each_f_once(mode, monkeypatch):
+    depth = 3
+    chain = _conv_chain(depth, 0.9, mode)
+    x0 = rng(8).normal(size=(2, 2, 4, 4))
+    chain.forward(x0, train=True)
+    calls = []
+    conv_forward = Conv2d.forward
+
+    def counted(self, x, train=True):
+        calls.append(train)
+        return conv_forward(self, x, train=train)
+
+    monkeypatch.setattr(Conv2d, "forward", counted)
+    chain.backward(np.ones_like(x0))
+    assert calls == [True] * (2 * depth)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("gamma", [0.5, 0.9])
+def test_reversible_backward_matches_invert_then_recompute_bitwise(gamma, dtype):
+    depth = 4
+    x0 = rng(11).normal(size=(2, 2, 4, 4)).astype(dtype)
+    gy = rng(12).normal(size=(2, 2, 4, 4)).astype(dtype)
+    chain = _conv_chain(depth, gamma, REVERSIBLE, dtype)
+    chain.forward(x0, train=True)
+    gx = chain.backward(gy)
+
+    ref = _conv_chain(depth, gamma, REVERSIBLE, dtype)
+    state = ref.forward(x0, train=False)
+    gx_ref, gv_ref = gy, np.zeros_like(gy)
+    for block in reversed(ref.blocks):
+        state = block.inverse(state)
+        block.f.forward(state.x, train=True)
+        gx_ref, gv_ref = block.backward_step(gx_ref, gv_ref)
+    assert gx.dtype == dtype and np.array_equal(gx, gx_ref)
+    for p, q in zip(chain.params(), ref.params()):
+        assert np.array_equal(p.grad, q.grad), p.name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_train_mode_inverse_returns_the_same_bits(dtype):
+    block = MomentumBlock(0.5, conv_f(13, dtype=dtype))
+    r = rng(14)
+    s = MomentumState(r.normal(size=(2, 2, 4, 4)).astype(dtype),
+                      r.normal(size=(2, 2, 4, 4)).astype(dtype))
+    eval_back = block.inverse(s)
+    assert block.f.cache_size() == 0
+    train_back = block.inverse(s, train=True)
+    assert block.f.cache_size() > 0
+    assert np.array_equal(train_back.x, eval_back.x)
+    assert np.array_equal(train_back.v, eval_back.v)
 
 
 def test_backward_without_forward_raises():
