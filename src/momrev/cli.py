@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True,
                         help="checkpoint path prefix (without .bin/.json)")
     p_eval.add_argument("--split", choices=["train", "val", "test"], default="test")
-    p_eval.add_argument("--hd-variant", dest="hd_variant", choices=["max", "hd95"])
+    p_eval.add_argument("--hd-variant", dest="hd_variant", choices=metrics_mod.HD_VARIANTS)
     p_eval.add_argument("--threshold", type=float)
     p_eval.set_defaults(func=cmd_eval)
 

@@ -265,10 +265,8 @@ class GlobalAvgPool(Layer):
 
 
 class Sequential(Layer):
-    def __init__(self, layers, name="seq"):
+    def __init__(self, layers):
         self.layers = list(layers)
-        self.name = name
-        self._ran = False
 
     def params(self):
         return [p for layer in self.layers for p in layer.params()]
@@ -276,13 +274,9 @@ class Sequential(Layer):
     def forward(self, x, train=True):
         for layer in self.layers:
             x = layer.forward(x, train=train)
-        self._ran = train
         return x
 
     def backward(self, gy):
-        if not self._ran:
-            raise StateError(f"{self.name}: backward without forward")
-        self._ran = False
         for layer in reversed(self.layers):
             gy = layer.backward(gy)
         return gy
@@ -290,7 +284,6 @@ class Sequential(Layer):
     def clear_cache(self):
         for layer in self.layers:
             layer.clear_cache()
-        self._ran = False
 
     def cached_arrays(self):
         return [a for layer in self.layers for a in layer.cached_arrays()]
@@ -323,7 +316,6 @@ def build_residual_function(desc: dict, rng, dtype=np.float64, name="f") -> Sequ
                 ReLU(),
                 Conv2d(c, c, 3, rng=rng, init="xavier", dtype=dtype, name=f"{name}.conv2"),
             ],
-            name=name,
         )
     if kind == "linear":
         d = desc.get("dim")
@@ -335,7 +327,6 @@ def build_residual_function(desc: dict, rng, dtype=np.float64, name="f") -> Sequ
                 Tanh(),
                 Linear(d, d, rng=rng, dtype=dtype, name=f"{name}.lin2"),
             ],
-            name=name,
         )
     raise ConfigError(f"unknown residual function kind {kind!r}")
 

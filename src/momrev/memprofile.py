@@ -9,13 +9,16 @@ a buffer held in both (a reversible chain's output that the next layer
 caches, a ReLU output that a stored chain keeps as its first state) once,
 so the total times the itemsize is what the arrays occupy. The per-block
 working set of a residual function is transient in both backward modes:
-backward evaluates each f once, on the retained block input in stored
-mode and inside `inverse` in reversible mode, and frees its caches when
-the block is done. So it is reported as a peak, separately from the
+the forward runs f in eval mode, and backward evaluates each f once, in
+train mode, on the retained block input in stored mode and inside
+`inverse` in reversible mode, and frees its caches when the block is
+done. So it is measured in backward, as a peak, separately from the
 retained total.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -26,11 +29,13 @@ LEDGER_COLUMNS = ["depth", "mode", "chain_states", "f_transient_peak",
 
 
 def profile_forward(net, batch: np.ndarray) -> network_mod.MemoryLedger:
-    """Run one train-mode forward and tally what stayed cached."""
-    net.predict(batch, train=True)
-    ledger = net.memory_ledger()
-    net.clear_caches()
-    return ledger
+    """Run one train-mode forward and tally what stayed cached, then a
+    backward on a zero loss gradient, which frees it and measures
+    `f_transient_peak`; the parameter gradients gain only zeros."""
+    logits = net.predict(batch, train=True)
+    held = net.memory_ledger()
+    net.train_backward(np.zeros_like(logits))
+    return dataclasses.replace(held, f_transient_peak=net.memory_ledger().f_transient_peak)
 
 
 def compare_modes(descriptor: network_mod.NetworkDescriptor, batch: np.ndarray,

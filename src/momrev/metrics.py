@@ -19,6 +19,7 @@ from .layers import sigmoid
 
 SEG_COLUMNS = ["mDSC", "mIoU", "Rec.", "Prec.", "F2", "HD"]
 CLS_COLUMNS = ["Accuracy", "MCC"]
+HD_VARIANTS = ("max", "hd95")
 
 
 def binarize(logits: np.ndarray, threshold: float = 0.5) -> np.ndarray:
@@ -71,7 +72,7 @@ def hausdorff(pred: np.ndarray, gt: np.ndarray, variant: str = "max") -> float:
     the 95th percentile (linear interpolation) of the pooled directed
     distances. Both masks empty -> 0; exactly one empty -> +inf.
     """
-    if variant not in ("max", "hd95"):
+    if variant not in HD_VARIANTS:
         raise DataError(f"unknown Hausdorff variant {variant!r}")
     if pred.shape != gt.shape:
         raise ShapeError(f"mask shapes differ: {pred.shape} vs {gt.shape}")

@@ -18,10 +18,11 @@ The backward mode belongs to the chain, not to its blocks: a stored chain
 retains the input activation of every block (its backward never reads a
 velocity), a reversible chain retains only its final state and rebuilds
 the others by inversion, so it refuses any gamma = 0 block when it is
-built. Backward evaluates each block's f once, in train mode: on the
-retained input in stored mode, and inside `inverse` in reversible mode,
-where the one f(x) both recovers v and fills the caches f.backward reads
-(RevNet's backward, Gomez et al. 2017). So the two modes make the same f
+built. The forward runs every f in eval mode, in both modes; backward
+evaluates each block's f once, in train mode: on the retained input in
+stored mode, and inside `inverse` in reversible mode, where the one f(x)
+both recovers v and fills the caches f.backward reads (RevNet's
+backward, Gomez et al. 2017). So the two modes make the same f
 evaluations with the same per-block working set, and differ only in how
 much chain state they retain.
 """
@@ -57,8 +58,8 @@ class MomentumBlock:
         self.gamma = gamma
         self.f = f
 
-    def forward(self, state: MomentumState, train=False) -> MomentumState:
-        fx = self.f.forward(state.x, train=train)
+    def forward(self, state: MomentumState) -> MomentumState:
+        fx = self.f.forward(state.x, train=False)
         v_next = self.gamma * state.v + (1.0 - self.gamma) * fx
         x_next = state.x + v_next
         if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(v_next))):
@@ -99,14 +100,16 @@ class MomentumChain:
     """A stack of momentum blocks over one shared state shape, started
     from zero velocity.
 
-    State i is the input of block i and state n the chain output. A
-    train-mode forward keeps what its mode's backward reads in `_saved`:
-    stored mode keeps the activations x of states 0..n-1 (S*n scalars for
-    state size S; backward never reads a stored velocity), reversible mode
-    keeps only state n (2*S scalars). Backward takes `_saved` over and
-    evaluates each block's f once, in train mode: on the block input it
-    pops from `_saved` when it is there, inside `inverse` of the next state
-    when it is not. Every state is freed once its block is done.
+    State i is the input of block i and state n the chain output. The
+    forward runs every f in eval mode; in train mode it keeps what its
+    mode's backward reads in `_saved`: stored mode keeps the activations x
+    of states 0..n-1 (S*n scalars for state size S; backward never reads a
+    stored velocity), reversible mode keeps only state n (2*S scalars).
+    Backward takes `_saved` over and evaluates each block's f once, in
+    train mode: on the block input it pops from `_saved` when it is there,
+    inside `inverse` of the next state when it is not. Every state is freed
+    once its block is done. `f_transient_peak` is the largest cache one f
+    held during the last backward.
     """
 
     def __init__(self, blocks: list[MomentumBlock], mode: str = STORED, name="chain"):
@@ -130,16 +133,10 @@ class MomentumChain:
     def forward(self, x0: np.ndarray, train: bool = True) -> MomentumState:
         state = MomentumState(x0, np.zeros_like(x0))
         saved = {}
-        peak = 0
         for i, block in enumerate(self.blocks):
             if train and self._retains(i):
                 saved[i] = state.x
-            block.f.clear_cache()
-            out = block.forward(state, train=train)
-            peak = max(peak, block.f.cache_size())
-            block.f.clear_cache()
-            state = out
-        self.f_transient_peak = peak
+            state = block.forward(state)
         if train:
             if self._retains(len(self.blocks)):
                 saved[len(self.blocks)] = state
@@ -153,13 +150,16 @@ class MomentumChain:
             raise StateError(f"{self.name}: backward without forward")
         gv = np.zeros_like(gx)
         state = saved.pop(len(self.blocks), None)
+        peak = 0
         for i in reversed(range(len(self.blocks))):
             block = self.blocks[i]
             if i in saved:
                 block.f.forward(saved.pop(i), train=True)
             else:
                 state = block.inverse(state, train=True)
+            peak = max(peak, block.f.cache_size())
             gx, gv = block.backward_step(gx, gv)
+        self.f_transient_peak = peak
         return gx
 
     def retained_arrays(self) -> list[np.ndarray]:

@@ -11,8 +11,11 @@ Two toy architectures share the same building blocks:
   reversibly.
 
 A train-mode forward holds activations only in the layers' caches and the
-chains' retained states. `train_backward` consumes both as it goes, so
-each activation is freed once backward has read it for the last time.
+chains' retained states, which are also the only record of a pending
+backward. `train_backward` consumes both as it goes, so each activation is
+freed once backward has read it for the last time; without a pending
+train-mode predict the head finds no cache and raises StateError before
+any gradient moves.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, StateError
+from .errors import ConfigError, ShapeError
 from .layers import (
     Conv2d,
     GlobalAvgPool,
@@ -97,7 +100,6 @@ class Network:
 
     def __init__(self, descriptor: NetworkDescriptor):
         self.descriptor = descriptor
-        self._pending = False
 
     def chains(self) -> list[MomentumChain]:
         raise NotImplementedError
@@ -128,7 +130,6 @@ class Network:
             chain.clear()
         for layer in self.layers():
             layer.clear_cache()
-        self._pending = False
 
     def memory_ledger(self) -> MemoryLedger:
         """Scalars held right now for a pending train-mode backward."""
@@ -159,7 +160,6 @@ class ClassifierNet(Network):
         self.stem = Sequential(
             [Conv2d(c_in, stages[0].width, 3, rng=rng, init="he",
                     dtype=dtype, name="stem.conv"), ReLU()],
-            name="stem",
         )
         self.stage_chains = []
         self.downs = []
@@ -173,14 +173,12 @@ class ClassifierNet(Network):
                         [Conv2d(s.width, stages[i + 1].width, 3, rng=rng,
                                 init="he", dtype=dtype, name=f"down{i}.conv"),
                          ReLU(), MaxPool2()],
-                        name=f"down{i}",
                     )
                 )
         self.head = Sequential(
             [GlobalAvgPool(),
              Linear(stages[-1].width, descriptor.num_classes, rng=rng, dtype=dtype,
                     name="head.fc")],
-            name="head",
         )
 
     def chains(self):
@@ -197,21 +195,15 @@ class ClassifierNet(Network):
             x = chain.forward(x, train=train).x
             if i < len(self.downs):
                 x = self.downs[i].forward(x, train=train)
-        logits = self.head.forward(x, train=train)
-        self._pending = train
-        return logits
+        return self.head.forward(x, train=train)
 
     def train_backward(self, loss_grad):
-        if not self._pending:
-            raise StateError("train_backward without a pending train-mode predict")
         g = self.head.backward(loss_grad)
         for i in reversed(range(len(self.stage_chains))):
             if i < len(self.downs):
                 g = self.downs[i].backward(g)
             g = self.stage_chains[i].backward(g)
-        g = self.stem.backward(g)
-        self.clear_caches()
-        return g
+        return self.stem.backward(g)
 
 
 class SegmenterNet(Network):
@@ -225,7 +217,6 @@ class SegmenterNet(Network):
         self.stem = Sequential(
             [Conv2d(c_in, stages[0].width, 3, rng=rng, init="he",
                     dtype=dtype, name="stem.conv"), ReLU()],
-            name="stem",
         )
         self.enc_chains = []
         self.downs = []
@@ -240,7 +231,6 @@ class SegmenterNet(Network):
                          Conv2d(s.width, stages[i + 1].width, 3, rng=rng,
                                 init="he", dtype=dtype, name=f"down{i}.conv"),
                          ReLU()],
-                        name=f"down{i}",
                     )
                 )
         self.ups = []
@@ -255,7 +245,6 @@ class SegmenterNet(Network):
                      Conv2d(stages[i + 1].width, wi, 3, rng=rng, init="he",
                             dtype=dtype, name=f"up{i}.conv"),
                      ReLU()],
-                    name=f"up{i}",
                 )
             )
             self.fuses.append(
@@ -263,7 +252,6 @@ class SegmenterNet(Network):
                     [Conv2d(2 * wi, wi, 3, rng=rng, init="he",
                             dtype=dtype, name=f"fuse{i}.conv"),
                      ReLU()],
-                    name=f"fuse{i}",
                 )
             )
             self.dec_chains.append(build_chain(
@@ -295,13 +283,9 @@ class SegmenterNet(Network):
             x = np.concatenate([x, skip], axis=1)
             x = self.fuses[j].forward(x, train=train)
             x = self.dec_chains[j].forward(x, train=train).x
-        logits = self.head.forward(x, train=train)
-        self._pending = train
-        return logits
+        return self.head.forward(x, train=train)
 
     def train_backward(self, loss_grad):
-        if not self._pending:
-            raise StateError("train_backward without a pending train-mode predict")
         m = len(self.enc_chains)
         g = self.head.backward(loss_grad)
         skip_grads = [None] * (m - 1)
@@ -316,9 +300,7 @@ class SegmenterNet(Network):
                 g = self.downs[i].backward(g)
                 g = g + skip_grads[i]  # fan-out: down path + skip path
             g = self.enc_chains[i].backward(g)
-        g = self.stem.backward(g)
-        self.clear_caches()
-        return g
+        return self.stem.backward(g)
 
 
 def build(descriptor: NetworkDescriptor, seed: int, dtype=np.float64) -> Network:

@@ -59,6 +59,9 @@ class TrainConfig:
             raise ConfigError(f"dtype: must be float32/float64, got {self.dtype!r}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+        if self.hd_variant not in metrics_mod.HD_VARIANTS:
+            raise ConfigError(f"hd_variant: must be one of {metrics_mod.HD_VARIANTS}, "
+                              f"got {self.hd_variant!r}")
 
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64

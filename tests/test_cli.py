@@ -15,7 +15,9 @@ def run(argv, capsys):
 
 
 def tiny_seg_config(tmp_path, **overrides):
-    opts = dict(
+    """A small segmentation config file; `overrides` go into the JSON
+    unchecked, so a test can write a config the CLI must reject."""
+    cfg = segmentation_defaults(
         network=dict(
             task="segmentation",
             input_shape=[1, 16, 16],
@@ -26,10 +28,8 @@ def tiny_seg_config(tmp_path, **overrides):
         patience=5,
         out_dir=str(tmp_path / "run"),
     )
-    opts.update(overrides)
-    cfg = segmentation_defaults(**opts)
     path = tmp_path / "config.json"
-    path.write_text(cfg.to_json())
+    path.write_text(json.dumps({**json.loads(cfg.to_json()), **overrides}, indent=2))
     return path
 
 
@@ -257,6 +257,15 @@ def test_reversible_gamma_zero_config_exit_code(tmp_path, capsys):
     code, _, err = run(["train", "--config", str(cfg_path)], capsys)
     assert code == 2
     assert err.startswith("config error:")
+    assert not (tmp_path / "run").exists()
+
+
+def test_unknown_hd_variant_config_exit_code(tmp_path, capsys):
+    cfg_path = tiny_seg_config(tmp_path, hd_variant="hd99")
+    code, _, err = run(["train", "--config", str(cfg_path)], capsys)
+    assert code == 2
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert "hd_variant" in err
     assert not (tmp_path / "run").exists()
 
 

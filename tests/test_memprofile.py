@@ -42,11 +42,18 @@ def test_reversible_chain_memory_is_constant(blocks):
 
 
 def test_transient_peak_and_fixed_costs_match_across_modes():
+    state = 2 * 4 * 8 * 8
     for blocks in (1, 4):
         a = ledger_for("stored", blocks)
         b = ledger_for("reversible", blocks)
-        assert a.f_transient_peak == b.f_transient_peak
+        # conv1's input and the ReLU output conv2 reads
+        assert a.f_transient_peak == b.f_transient_peak == 2 * state
         assert a.transitions == b.transitions
+    # backward measures the peak, so an eval forward leaves it as it is
+    net = network.build(chain_descriptor("reversible", 2), seed=0)
+    memprofile.profile_forward(net, rng(1).normal(size=(2, 1, 8, 8)))
+    net.predict(rng(2).normal(size=(2, 1, 8, 8)))
+    assert [c.f_transient_peak for c in net.chains()] == [2 * state]
 
 
 def two_stage_descriptor(task, mode, blocks=2):

@@ -212,6 +212,8 @@ def test_backward_frees_every_cache(make):
     assert net.memory_ledger().total > 0
     net.train_backward(np.ones_like(logits))
     assert net.memory_ledger().total == 0
+    fs = [b.f for c in net.chains() for b in c.blocks]
+    assert all(part.cache_size() == 0 for part in net.layers() + fs)
 
 
 def test_reversible_head_input_is_counted_once():
