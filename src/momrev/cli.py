@@ -3,9 +3,12 @@
 Runs are driven by a JSON config plus a few flag overrides; every run
 writes its resolved config next to its outputs so it can be reproduced
 from the file alone. `verify` runs the property suites of `verify.py` in
-float64 at one depth and gamma; at gamma 0 it skips the two suites that
-invert. Exit codes: 0 success, 1 verification failure, 2 config error,
-3 data error, 4 numeric error.
+float64 at one depth and gamma, on the conv residual chains the networks
+build; at gamma 0 it skips the two suites that invert. `memprofile`
+reads a config the way `train` does and tabulates the memory ledger of
+its network at each of `--depths` blocks per chain, in both modes, at
+the config's batch size and dtype. Exit codes: 0 success, 1 verification
+failure, 2 config error, 3 data error, 4 numeric error.
 """
 
 from __future__ import annotations
@@ -101,16 +104,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_memprofile(args) -> int:
-    for flag in ("hw", "batch", "width"):
-        if getattr(args, flag) < 1:
-            raise ConfigError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
-    descriptor = network_mod.NetworkDescriptor(
-        task="classification",
-        input_shape=(1, args.hw, args.hw),
-        stages=[network_mod.StageSpec(args.width, 1, 0.9, "reversible")],
-        num_classes=2,
-    )
-    batch = np.zeros((args.batch, 1, args.hw, args.hw))
+    cfg = _load_config(args)
+    descriptor = cfg.descriptor()
+    batch = np.zeros((cfg.batch_size, *descriptor.input_shape), dtype=cfg.np_dtype())
     rows = memprofile_mod.compare_modes(descriptor, batch, args.depths)
     columns = memprofile_mod.LEDGER_COLUMNS
     csv_text = metrics_mod.render_csv(columns, rows)
@@ -136,9 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="momentum residual training engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_flags(p):
+    def add_source_flags(p):
         p.add_argument("--config", help="JSON training config")
         p.add_argument("--preset", choices=["segmentation", "classification"])
+
+    def add_config_flags(p):
+        add_source_flags(p)
         p.add_argument("--lr", type=float)
         p.add_argument("--epochs", type=int)
         p.add_argument("--batch-size", dest="batch_size", type=int)
@@ -165,10 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_mem = sub.add_parser("memprofile", help="activation-memory ledger vs depth")
+    add_source_flags(p_mem)
     p_mem.add_argument("--depths", type=_int_list, default="1,2,4,8,16")
-    p_mem.add_argument("--width", type=int, default=4)
-    p_mem.add_argument("--hw", type=int, default=8)
-    p_mem.add_argument("--batch", type=int, default=2)
     p_mem.add_argument("--out")
     p_mem.set_defaults(func=cmd_memprofile)
     return parser

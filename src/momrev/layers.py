@@ -1,4 +1,4 @@
-"""Differentiable layers and the residual functions built from them.
+"""Differentiable layers and the residual function built from them.
 
 Every layer owns its parameters (value + gradient accumulator), caches
 whatever its backward pass needs when run in train mode, and exposes the
@@ -298,37 +298,18 @@ def sigmoid(z):
     return out
 
 
-def build_residual_function(desc: dict, rng, dtype=np.float64, name="f") -> Sequential:
-    """Shape-preserving residual body from a descriptor.
-
-    Supported kinds:
-      {"kind": "conv", "channels": C}  -> conv3x3 -> relu -> conv3x3
-      {"kind": "linear", "dim": d}     -> linear -> tanh -> linear
-    """
-    kind = desc.get("kind")
-    if kind == "conv":
-        c = desc.get("channels")
-        if not isinstance(c, int) or c < 1:
-            raise ConfigError(f"residual conv descriptor needs positive channels, got {c!r}")
-        return Sequential(
-            [
-                Conv2d(c, c, 3, rng=rng, init="he", dtype=dtype, name=f"{name}.conv1"),
-                ReLU(),
-                Conv2d(c, c, 3, rng=rng, init="xavier", dtype=dtype, name=f"{name}.conv2"),
-            ],
-        )
-    if kind == "linear":
-        d = desc.get("dim")
-        if not isinstance(d, int) or d < 1:
-            raise ConfigError(f"residual linear descriptor needs positive dim, got {d!r}")
-        return Sequential(
-            [
-                Linear(d, d, rng=rng, dtype=dtype, name=f"{name}.lin1"),
-                Tanh(),
-                Linear(d, d, rng=rng, dtype=dtype, name=f"{name}.lin2"),
-            ],
-        )
-    raise ConfigError(f"unknown residual function kind {kind!r}")
+def build_residual_function(channels: int, rng, dtype=np.float64, name="f") -> Sequential:
+    """Shape-preserving residual body on C = `channels`:
+    conv3x3 -> relu -> conv3x3."""
+    return Sequential(
+        [
+            Conv2d(channels, channels, 3, rng=rng, init="he", dtype=dtype,
+                   name=f"{name}.conv1"),
+            ReLU(),
+            Conv2d(channels, channels, 3, rng=rng, init="xavier", dtype=dtype,
+                   name=f"{name}.conv2"),
+        ],
+    )
 
 
 def save_checkpoint(path, params: list[Param]) -> None:

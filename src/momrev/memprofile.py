@@ -14,6 +14,10 @@ train mode, on the retained block input in stored mode and inside
 `inverse` in reversible mode, and frees its caches when the block is
 done. So it is measured in backward, as a peak, separately from the
 retained total.
+
+`compare_modes` tabulates the ledger of a run's network, every stage
+rebuilt at each chain depth in both modes, on a batch of the run's size
+and dtype.
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ def compare_modes(descriptor: network_mod.NetworkDescriptor, batch: np.ndarray,
     """Ledger rows over chain depths for both backward modes.
 
     Every stage of the descriptor is rebuilt with `blocks=depth` and the
-    requested mode, from seed 0 in float64; returns one row per (depth,
-    mode) with its values in LEDGER_COLUMNS order, ready for
+    requested mode, from seed 0 in the batch's dtype; returns one row per
+    (depth, mode) with its values in LEDGER_COLUMNS order, ready for
     `metrics.render_csv`.
     """
     rows = []
@@ -52,15 +56,9 @@ def compare_modes(descriptor: network_mod.NetworkDescriptor, batch: np.ndarray,
         for mode in ("stored", "reversible"):
             stages = [network_mod.StageSpec(s.width, depth, s.gamma, mode)
                       for s in descriptor.stages]
-            desc = network_mod.NetworkDescriptor(
-                task=descriptor.task,
-                input_shape=descriptor.input_shape,
-                stages=stages,
-                num_classes=descriptor.num_classes,
-            )
-            net = network_mod.build(desc, seed=0)
-            ledger = profile_forward(net, batch.astype(np.float64))
+            desc = dataclasses.replace(descriptor, stages=stages)
+            net = network_mod.build(desc, seed=0, dtype=batch.dtype)
+            ledger = profile_forward(net, batch)
             rows.append([depth, mode, ledger.chain_states, ledger.f_transient_peak,
                          ledger.transitions, ledger.total])
     return rows
-

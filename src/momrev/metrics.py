@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DataError, ShapeError
 from .layers import sigmoid
@@ -82,8 +81,10 @@ def hausdorff(pred: np.ndarray, gt: np.ndarray, variant: str = "max") -> float:
         return 0.0
     if len(a) == 0 or len(b) == 0:
         return math.inf
-    d = cdist(a.astype(np.float64), b.astype(np.float64))
-    directed = np.concatenate([d.min(axis=1), d.min(axis=0)])
+    # exact integer squared distances; sqrt is monotone and correctly
+    # rounded, so taking it after the min gives the float64 distances
+    d2 = (a[:, None, 0] - b[None, :, 0]) ** 2 + (a[:, None, 1] - b[None, :, 1]) ** 2
+    directed = np.sqrt(np.concatenate([d2.min(axis=1), d2.min(axis=0)]).astype(np.float64))
     if variant == "max":
         return float(directed.max())
     return float(np.percentile(directed, 95, method="linear"))

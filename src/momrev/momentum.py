@@ -173,13 +173,13 @@ class MomentumChain:
             block.f.clear_cache()
 
 
-def build_chain(f_desc: dict, depth: int, gamma: float, mode: str, rng,
+def build_chain(channels: int, depth: int, gamma: float, mode: str, rng,
                 dtype=np.float64, name="chain") -> MomentumChain:
     """`depth` blocks at one gamma, each with a fresh residual function
-    `build_residual_function(f_desc)` drawn from `rng` in block order and
+    `build_residual_function(channels)` drawn from `rng` in block order and
     named `{name}.b{j}`."""
     blocks = [
-        MomentumBlock(gamma, build_residual_function(f_desc, rng, dtype, f"{name}.b{j}"))
+        MomentumBlock(gamma, build_residual_function(channels, rng, dtype, f"{name}.b{j}"))
         for j in range(depth)
     ]
     return MomentumChain(blocks, mode, name)

@@ -21,6 +21,7 @@ any gradient moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .layers import (
     load_checkpoint,
     save_checkpoint,
 )
-from .momentum import MomentumChain, build_chain
+from .momentum import REVERSIBLE, STORED, MomentumChain, build_chain
 
 
 @dataclass
@@ -65,9 +66,18 @@ class NetworkDescriptor:
             raise ConfigError(f"input_shape must be (C,H,W), got {self.input_shape}")
         if not self.stages:
             raise ConfigError("at least one stage is required")
-        for s in self.stages:
-            if s.width < 1 or s.blocks < 1:
-                raise ConfigError(f"invalid stage {s}")
+        for i, s in enumerate(self.stages):
+            for key in ("width", "blocks"):
+                v = getattr(s, key)
+                if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
+                    raise ConfigError(f"stages[{i}].{key}: must be an integer >= 1, got {v!r}")
+            real = isinstance(s.gamma, Real) and not isinstance(s.gamma, bool)
+            if not (real and 0.0 <= s.gamma <= 1.0):
+                raise ConfigError(f"stages[{i}].gamma: must be a number in [0, 1], "
+                                  f"got {s.gamma!r}")
+            if s.mode not in (STORED, REVERSIBLE):
+                raise ConfigError(f"stages[{i}].mode: must be {STORED!r} or {REVERSIBLE!r}, "
+                                  f"got {s.mode!r}")
         _, h, w = self.input_shape
         factor = 2 ** (len(self.stages) - 1)
         if h % factor or w % factor:
@@ -164,9 +174,8 @@ class ClassifierNet(Network):
         self.stage_chains = []
         self.downs = []
         for i, s in enumerate(stages):
-            self.stage_chains.append(build_chain(
-                {"kind": "conv", "channels": s.width}, s.blocks, s.gamma, s.mode,
-                rng, dtype, f"enc{i}"))
+            self.stage_chains.append(
+                build_chain(s.width, s.blocks, s.gamma, s.mode, rng, dtype, f"enc{i}"))
             if i + 1 < len(stages):
                 self.downs.append(
                     Sequential(
@@ -221,9 +230,8 @@ class SegmenterNet(Network):
         self.enc_chains = []
         self.downs = []
         for i, s in enumerate(stages):
-            self.enc_chains.append(build_chain(
-                {"kind": "conv", "channels": s.width}, s.blocks, s.gamma, s.mode,
-                rng, dtype, f"enc{i}"))
+            self.enc_chains.append(
+                build_chain(s.width, s.blocks, s.gamma, s.mode, rng, dtype, f"enc{i}"))
             if i + 1 < m:
                 self.downs.append(
                     Sequential(
@@ -254,9 +262,8 @@ class SegmenterNet(Network):
                      ReLU()],
                 )
             )
-            self.dec_chains.append(build_chain(
-                {"kind": "conv", "channels": s.width}, s.blocks, s.gamma, s.mode,
-                rng, dtype, f"dec{i}"))
+            self.dec_chains.append(
+                build_chain(s.width, s.blocks, s.gamma, s.mode, rng, dtype, f"dec{i}"))
         self.head = Conv2d(stages[0].width, 1, 1, rng=rng, init="xavier",
                            dtype=dtype, name="head.conv")
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from momrev import memprofile, metrics, network, train
+from momrev import memprofile, metrics, train
 from momrev.layers import build_residual_function
 from momrev.loss import bce_with_logits, cross_entropy, hybrid_loss, soft_dice_loss
 from momrev.momentum import REVERSIBLE, STORED, MomentumBlock, MomentumState, build_chain
@@ -32,13 +32,12 @@ def report(name, passed, detail):
 
 
 def conv_block(gamma, r):
-    f = build_residual_function({"kind": "conv", "channels": 2}, r, np.float64)
+    f = build_residual_function(2, r, np.float64)
     return MomentumBlock(gamma, f)
 
 
-def linear_chain(depth, gamma, mode, seed):
-    return build_chain({"kind": "linear", "dim": 6}, depth, gamma, mode, rng(seed),
-                       name="acc")
+def conv_chain(depth, gamma, mode, seed):
+    return build_chain(2, depth, gamma, mode, rng(seed), name="acc")
 
 
 def test_inversion_round_trip():
@@ -76,7 +75,7 @@ def test_plain_residual_endpoint_bit_exact():
     r = rng(13)
     exact = True
     for _ in range(100):
-        f = build_residual_function({"kind": "conv", "channels": 2}, r, np.float64)
+        f = build_residual_function(2, r, np.float64)
         block = MomentumBlock(0.0, f)
         x, v = r.normal(size=(1, 2, 4, 4)), r.normal(size=(1, 2, 4, 4))
         out = block.forward(MomentumState(x, v))
@@ -89,10 +88,10 @@ def test_gradient_mode_agreement_and_fd():
     start = time.perf_counter()
     worst_mode, worst_fd = 0.0, 0.0
     for seed in range(20):
-        stored = linear_chain(10, 0.9, STORED, 500 + seed)
-        rev = linear_chain(10, 0.9, REVERSIBLE, 500 + seed)
+        stored = conv_chain(10, 0.9, STORED, 500 + seed)
+        rev = conv_chain(10, 0.9, REVERSIBLE, 500 + seed)
         r = rng(900 + seed)
-        x0, w = r.normal(size=(1, 6)), r.normal(size=(1, 6))
+        x0, w = r.normal(size=(1, 2, 4, 4)), r.normal(size=(1, 2, 4, 4))
         gx_s, pg_s = collect_grads(stored, x0, w)
         gx_r, pg_r = collect_grads(rev, x0, w)
         worst_mode = max(worst_mode, rel_err(gx_s, gx_r), rel_err(pg_s, pg_r))
@@ -116,20 +115,21 @@ def test_gradient_mode_agreement_and_fd():
 
 
 def test_memory_ledger_scaling():
-    batch, width, hw = 2, 4, 8
-    state = batch * width * hw * hw
-    ok = True
-    for depth in (1, 2, 4, 8, 16):
-        for mode, want in (("stored", state * depth), ("reversible", 2 * state)):
-            desc = network.NetworkDescriptor(
-                task="classification", input_shape=(1, hw, hw),
-                stages=[dict(width=width, blocks=depth, gamma=0.9, mode=mode)],
-                num_classes=2)
-            net = network.build(desc, seed=0)
-            ledger = memprofile.profile_forward(net, rng(1).normal(size=(batch, 1, hw, hw)))
-            ok &= ledger.chain_states == want
-    report("memory-ledger", ok,
-           "reversible retention constant, stored exactly S*n over depths 1..16")
+    # the shipped segmenter as it trains: float32, batch 16; chains enc0 and
+    # dec0 hold states of S0 = 16*8*32*32 scalars, enc1 of S1 = 16*16*16*16
+    cfg = train.segmentation_defaults()
+    desc = cfg.descriptor()
+    batch = np.zeros((cfg.batch_size, *desc.input_shape), dtype=cfg.np_dtype())
+    s0, s1 = 16 * 8 * 32 * 32, 16 * 16 * 16 * 16
+    depths = [1, 2, 4, 8, 16]
+    want = {(n, "stored"): n * (2 * s0 + s1) for n in depths}
+    want.update({(n, "reversible"): 2 * (2 * s0 + s1) for n in depths})
+    rows = [dict(zip(memprofile.LEDGER_COLUMNS, row))
+            for row in memprofile.compare_modes(desc, batch, depths)]
+    got = {(row["depth"], row["mode"]): row["chain_states"] for row in rows}
+    report("memory-ledger", got == want,
+           "segmentation preset: reversible retention constant at 655,360, "
+           "stored exactly n*(2*S0 + S1) = n*327,680 over depths 1..16")
 
 
 def test_metric_oracles_thousand_cases():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,14 +143,15 @@ def test_verify_has_no_mode_or_dtype_flag(capsys, flags):
 
 def test_memprofile_csv(tmp_path, capsys):
     code, out, _ = run(
-        ["memprofile", "--depths", "1,2,4", "--width", "2", "--hw", "4",
-         "--batch", "1", "--out", str(tmp_path)],
+        ["memprofile", "--preset", "classification", "--depths", "1,2",
+         "--out", str(tmp_path)],
         capsys,
     )
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "depth,mode,chain_states,f_transient_peak,transitions,total"
-    assert len(lines) == 1 + 6
+    assert [l.split(",")[:2] for l in lines[1:]] == [
+        ["1", "stored"], ["1", "reversible"], ["2", "stored"], ["2", "reversible"]]
     assert (tmp_path / "memprofile.csv").read_text() == out
 
 
@@ -232,11 +237,15 @@ def test_memprofile_bad_depths_usage_error(capsys):
     assert "usage:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--hw", "--batch", "--width"])
-def test_memprofile_nonpositive_size_exit_code(capsys, flag):
-    code, out, err = run(["memprofile", "--depths", "1", flag, "0"], capsys)
+@pytest.mark.parametrize("argv", [
+    ["--preset", "classification", "--depths", "0"],
+    ["--preset", "classification", "--depths", "2,-1"],
+    ["--depths", "1"],
+], ids=["zero-depth", "negative-depth", "no-config-source"])
+def test_memprofile_config_error_exit_code(capsys, argv):
+    code, out, err = run(["memprofile", *argv], capsys)
     assert code == 2 and out == ""
-    assert err.startswith("config error:") and flag in err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("flags", [["--batch-size", "0"], ["--epochs", "-2"]],
@@ -273,16 +282,35 @@ def _stage(**extra):
     return dict(width=4, blocks=1, **extra)
 
 
+def _seg_network(**stage):
+    return dict(task="segmentation", input_shape=[1, 16, 16], stages=[{**_stage(), **stage}])
+
+
 @pytest.mark.parametrize("network", [
     dict(task="segmentation", input_shape=[1, 16, 16], stages=[_stage()], bogus=1),
     dict(task="segmentation", input_shape=[1, 16, 16], stages=[_stage(bogus=1)]),
     dict(task="segmentation", input_shape=[1, 8, 8], stages=[_stage()]),
     dict(task="classification", input_shape=[1, 16, 16], stages=[_stage()]),
+    _seg_network(width=2.5),
+    _seg_network(blocks=1.5),
+    _seg_network(gamma="0.9"),
+    _seg_network(width=0),
+    _seg_network(mode="bogus"),
 ], ids=["unknown-network-key", "unknown-stage-key", "input-shape-vs-data-hw",
-        "classifier-under-segmentation"])
+        "classifier-under-segmentation", "float-width", "float-blocks", "string-gamma",
+        "zero-width", "unknown-mode"])
 def test_inconsistent_network_config_exit_code(tmp_path, capsys, network):
     cfg_path = tiny_seg_config(tmp_path, network=network)
     code, _, err = run(["train", "--config", str(cfg_path)], capsys)
     assert code == 2
     assert err.startswith("config error:") and len(err.splitlines()) == 1
     assert not (tmp_path / "run").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, momrev.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out.strip() == "False"

@@ -29,8 +29,7 @@ def scaled_identity_f(dim=1, w=1.0):
 
 
 def conv_f(seed, channels=2, dtype=np.float64):
-    return build_residual_function({"kind": "conv", "channels": channels}, rng(seed),
-                                   dtype=dtype)
+    return build_residual_function(channels, rng(seed), dtype=dtype)
 
 
 def test_forward_with_zero_f():
@@ -169,15 +168,10 @@ def test_chain_backward_resnet_endpoint_grads():
     assert w_param.grad[0, 0] == pytest.approx(3.0)
 
 
-def _linear_chain(depth, gamma, mode, seed, dim=6):
-    blocks = [
-        MomentumBlock(
-            gamma,
-            build_residual_function({"kind": "linear", "dim": dim}, rng(seed * 100 + j)),
-        )
-        for j in range(depth)
-    ]
-    return MomentumChain(blocks, mode)
+def _conv_chain(depth, gamma, mode, dtype=np.float64, seed=9):
+    return MomentumChain(
+        [MomentumBlock(gamma, conv_f(100 * seed + j, dtype=dtype)) for j in range(depth)],
+        mode)
 
 
 def test_stored_chain_retains_only_block_inputs():
@@ -196,10 +190,10 @@ def test_stored_chain_retains_only_block_inputs():
 @pytest.mark.parametrize("seed", range(5))
 def test_depth10_stored_vs_reversible_and_fd(seed):
     depth = 10
-    x0 = rng(500 + seed).normal(size=(1, 6))
-    w = rng(600 + seed).normal(size=(1, 6))
-    stored = _linear_chain(depth, 0.9, STORED, seed)
-    rev = _linear_chain(depth, 0.9, REVERSIBLE, seed)
+    x0 = rng(500 + seed).normal(size=(1, 2, 4, 4))
+    w = rng(600 + seed).normal(size=(1, 2, 4, 4))
+    stored = _conv_chain(depth, 0.9, STORED, seed=seed)
+    rev = _conv_chain(depth, 0.9, REVERSIBLE, seed=seed)
     gx_s, pg_s = collect_grads(stored, x0, w)
     gx_r, pg_r = collect_grads(rev, x0, w)
     assert rel_err(gx_s, gx_r) <= 1e-8
@@ -213,11 +207,6 @@ def test_depth10_stored_vs_reversible_and_fd(seed):
     gx_s, _ = collect_grads(stored, x0, w)  # refresh accumulators after fd probing
     for p in stored.params()[:4]:  # a parameter subset keeps runtime bounded
         assert rel_err(p.grad, fd_grad(loss, p.value)) <= 1e-6
-
-
-def _conv_chain(depth, gamma, mode, dtype=np.float64):
-    return MomentumChain(
-        [MomentumBlock(gamma, conv_f(900 + j, dtype=dtype)) for j in range(depth)], mode)
 
 
 @pytest.mark.parametrize("mode", [STORED, REVERSIBLE])
@@ -276,9 +265,9 @@ def test_train_mode_inverse_returns_the_same_bits(dtype):
 
 
 def test_backward_without_forward_raises():
-    chain = _linear_chain(2, 0.9, STORED, 0)
+    chain = _conv_chain(2, 0.9, STORED)
     with pytest.raises(StateError):
-        chain.backward(np.zeros((1, 6)))
+        chain.backward(np.zeros((1, 2, 4, 4)))
 
 
 def test_float32_roundtrip_error_documented():
@@ -286,8 +275,7 @@ def test_float32_roundtrip_error_documented():
     r = rng(77)
     blocks = []
     for j in range(10):
-        f = build_residual_function({"kind": "conv", "channels": 2}, rng(700 + j),
-                                    dtype=np.float32)
+        f = build_residual_function(2, rng(700 + j), dtype=np.float32)
         blocks.append(MomentumBlock(0.9, f))
     s = MomentumState(r.normal(size=(1, 2, 4, 4)).astype(np.float32),
                       r.normal(size=(1, 2, 4, 4)).astype(np.float32))
