@@ -6,9 +6,10 @@ from the file alone. `verify` runs the property suites of `verify.py` in
 float64 at one depth and gamma, on the conv residual chains the networks
 build; at gamma 0 it skips the two suites that invert. `memprofile`
 reads a config the way `train` does and tabulates the memory ledger of
-its network at each of `--depths` blocks per chain, in both modes, at
-the config's batch size and dtype. Exit codes: 0 success, 1 verification
-failure, 2 config error, 3 data error, 4 numeric error.
+its network at each of `--depths` blocks per chain, in both modes (stored
+only if a stage has gamma 0), at the config's batch size and dtype.
+Exit codes: 0 success, 1 verification failure, 2 config error, 3 data
+error, 4 numeric error.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ def _load_config(args) -> train_mod.TrainConfig:
     else:
         raise ConfigError("config: pass --config FILE or --preset")
     overrides = {key: getattr(args, key) for key in
-                 ("lr", "epochs", "batch_size", "patience", "seed")
+                 ("lr", "epochs", "batch_size", "patience", "seed", "hd_variant",
+                  "eval_threshold")
                  if getattr(args, key, None) is not None}
     if getattr(args, "out", None):
         overrides["out_dir"] = args.out
@@ -74,10 +76,6 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
-    if args.hd_variant:
-        cfg.hd_variant = args.hd_variant
-    if args.threshold is not None:
-        cfg.eval_threshold = args.threshold
     net = network_mod.build(cfg.descriptor(), seed=cfg.seed, dtype=cfg.np_dtype())
     net.load(Path(args.checkpoint))
     _, sets = train_mod.load_splits(cfg)
@@ -104,6 +102,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_memprofile(args) -> int:
+    if min(args.depths) < 1:
+        raise ConfigError(f"--depths: each depth must be >= 1, got {args.depths}")
     cfg = _load_config(args)
     descriptor = cfg.descriptor()
     batch = np.zeros((cfg.batch_size, *descriptor.input_shape), dtype=cfg.np_dtype())
@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="checkpoint path prefix (without .bin/.json)")
     p_eval.add_argument("--split", choices=["train", "val", "test"], default="test")
     p_eval.add_argument("--hd-variant", dest="hd_variant", choices=metrics_mod.HD_VARIANTS)
-    p_eval.add_argument("--threshold", type=float)
+    p_eval.add_argument("--threshold", dest="eval_threshold", type=float)
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run the structural property suites")

@@ -16,8 +16,8 @@ done. So it is measured in backward, as a peak, separately from the
 retained total.
 
 `compare_modes` tabulates the ledger of a run's network, every stage
-rebuilt at each chain depth in both modes, on a batch of the run's size
-and dtype.
+rebuilt at each chain depth in both modes (stored only when a stage has
+gamma = 0, which cannot invert), on a batch of the run's size and dtype.
 """
 
 from __future__ import annotations
@@ -49,11 +49,14 @@ def compare_modes(descriptor: network_mod.NetworkDescriptor, batch: np.ndarray,
     Every stage of the descriptor is rebuilt with `blocks=depth` and the
     requested mode, from seed 0 in the batch's dtype; returns one row per
     (depth, mode) with its values in LEDGER_COLUMNS order, ready for
-    `metrics.render_csv`.
+    `metrics.render_csv`. Reversible rows need every stage's gamma > 0, so
+    a descriptor with a gamma = 0 stage gets stored rows only.
     """
+    invertible = all(s.gamma > 0 for s in descriptor.stages)
+    modes = ("stored", "reversible") if invertible else ("stored",)
     rows = []
     for depth in depths:
-        for mode in ("stored", "reversible"):
+        for mode in modes:
             stages = [network_mod.StageSpec(s.width, depth, s.gamma, mode)
                       for s in descriptor.stages]
             desc = dataclasses.replace(descriptor, stages=stages)

@@ -106,8 +106,6 @@ class MemoryLedger:
 class Network:
     """Shared plumbing: parameter registry, checkpoints, cache audit."""
 
-    task = None
-
     def __init__(self, descriptor: NetworkDescriptor):
         self.descriptor = descriptor
 
@@ -161,8 +159,6 @@ class Network:
 
 
 class ClassifierNet(Network):
-    task = "classification"
-
     def __init__(self, descriptor, rng, dtype=np.float64):
         super().__init__(descriptor)
         c_in = descriptor.input_shape[0]
@@ -216,8 +212,6 @@ class ClassifierNet(Network):
 
 
 class SegmenterNet(Network):
-    task = "segmentation"
-
     def __init__(self, descriptor, rng, dtype=np.float64):
         super().__init__(descriptor)
         c_in = descriptor.input_shape[0]

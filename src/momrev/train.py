@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -182,19 +183,35 @@ def evaluate_split(cfg: TrainConfig, net, samples):
         means = report.means
         return {"loss": mean_loss, "report": report,
                 **dict(zip(metrics_mod.SEG_COLUMNS, means))}
-    k = cfg.descriptor().num_classes
+    k = net.descriptor.num_classes
     confusion = metrics_mod.confusion_multiclass(np.array(labels), np.array(label_preds), k)
     acc, mcc = metrics_mod.accuracy_mcc(confusion)
     return {"loss": mean_loss, "Accuracy": acc, "MCC": mcc, "confusion": confusion}
 
 
-def train(cfg: TrainConfig, out_dir=None):
+def _check_targets(task, descriptor, samples):
+    """Every target must be what the task's loss takes: a 1 x H x W mask
+    of the network's input H x W, or an int label in [0, num_classes)."""
+    mask_shape, k = (1, *descriptor.input_shape[1:]), descriptor.num_classes
+    for s in samples:
+        shape = np.shape(s.target)
+        if task == "segmentation" and shape != mask_shape:
+            raise ConfigError(f"data: segmentation needs {mask_shape} masks, sample "
+                              f"{s.id!r} has a target of shape {shape}")
+        label = isinstance(s.target, Integral)
+        if task == "classification" and not (label and 0 <= s.target < k):
+            got = f"label {s.target}" if label else f"a target of shape {shape}"
+            raise ConfigError(f"data: classification needs int labels in [0, {k}) "
+                              f"(network.num_classes), sample {s.id!r} has {got}")
+
+
+def train(cfg: TrainConfig):
     """Run one training episode, early-stopped on validation loss; returns
     a result dict.
 
     Builds the network and the dataset and checks that they fit the task
     and each other before it writes anything, so a rejected config leaves
-    no run directory. Then writes into out_dir: resolved config, split,
+    no run directory. Then writes into `cfg.out_dir`: resolved config, split,
     best checkpoint, per-epoch CSV log. The best checkpoint is flushed
     whenever it improves and the log after every epoch, so a numeric abort
     still leaves the last good checkpoint and the epochs before it on disk.
@@ -209,8 +226,9 @@ def train(cfg: TrainConfig, out_dir=None):
     if train_set[0].image.shape != descriptor.input_shape:
         raise ShapeError(f"network input_shape {descriptor.input_shape} does not fit "
                          f"the data's images of shape {train_set[0].image.shape}")
+    _check_targets(cfg.task, descriptor, [s for part in sets.values() for s in part])
 
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(cfg.to_json())
     (out / "split.json").write_text(manifest.to_json())

@@ -9,7 +9,7 @@ import pytest
 from momrev import cli
 from momrev.errors import NumericError
 from momrev.optim import Adam
-from momrev.train import segmentation_defaults
+from momrev.train import classification_defaults, segmentation_defaults
 
 
 def run(argv, capsys):
@@ -86,12 +86,15 @@ def test_eval_reads_back_a_trained_checkpoint(tmp_path, capsys):
     code, out, _ = run(
         ["eval", "--config", str(cfg_path),
          "--checkpoint", str(tmp_path / "run" / "checkpoint"),
-         "--split", "test", "--out", str(tmp_path / "eval")],
+         "--split", "test", "--hd-variant", "hd95", "--threshold", "0.4",
+         "--out", str(tmp_path / "eval")],
         capsys,
     )
     assert code == 0
     assert out.splitlines()[0].startswith("| name | mDSC |")
     assert (tmp_path / "eval" / "eval_metrics.csv").exists()
+    resolved = json.loads((tmp_path / "eval" / "config.json").read_text())
+    assert resolved["hd_variant"] == "hd95" and resolved["eval_threshold"] == 0.4
 
 
 def test_eval_matches_train_test_metrics(tmp_path, capsys):
@@ -237,15 +240,25 @@ def test_memprofile_bad_depths_usage_error(capsys):
     assert "usage:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["--preset", "classification", "--depths", "0"],
-    ["--preset", "classification", "--depths", "2,-1"],
-    ["--depths", "1"],
+@pytest.mark.parametrize("argv, named", [
+    (["--preset", "classification", "--depths", "0"], "--depths"),
+    (["--preset", "classification", "--depths", "2,-1"], "--depths"),
+    (["--depths", "1"], "--preset"),
 ], ids=["zero-depth", "negative-depth", "no-config-source"])
-def test_memprofile_config_error_exit_code(capsys, argv):
+def test_memprofile_config_error_exit_code(capsys, argv, named):
     code, out, err = run(["memprofile", *argv], capsys)
     assert code == 2 and out == ""
     assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert named in err
+
+
+def test_memprofile_gamma_zero_stored_config(tmp_path, capsys):
+    cfg_path = tiny_seg_config(tmp_path, network=_seg_network(gamma=0.0, mode="stored"))
+    code, out, err = run(["memprofile", "--config", str(cfg_path), "--depths", "1,2"],
+                         capsys)
+    assert code == 0 and err == ""
+    assert [l.split(",")[:2] for l in out.strip().splitlines()[1:]] == [
+        ["1", "stored"], ["2", "stored"]]
 
 
 @pytest.mark.parametrize("flags", [["--batch-size", "0"], ["--epochs", "-2"]],
@@ -302,6 +315,25 @@ def _seg_network(**stage):
 def test_inconsistent_network_config_exit_code(tmp_path, capsys, network):
     cfg_path = tiny_seg_config(tmp_path, network=network)
     code, _, err = run(["train", "--config", str(cfg_path)], capsys)
+    assert code == 2
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("defaults, data, num_classes", [
+    (classification_defaults, dict(generator="shapes", n=20, hw=16), None),
+    (segmentation_defaults, dict(generator="blobs", n=20, hw=32), None),
+    (classification_defaults, dict(generator="blobs", n=20, hw=16, k_classes=4), 3),
+], ids=["classifier-on-masks", "segmenter-on-labels", "label-out-of-range"])
+def test_data_that_does_not_fit_the_task_exit_code(tmp_path, capsys, defaults, data,
+                                                   num_classes):
+    cfg = json.loads(defaults(data=data).to_json())
+    if num_classes is not None:
+        cfg["network"]["num_classes"] = num_classes
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run(["train", "--config", str(path), "--out", str(tmp_path / "run")],
+                       capsys)
     assert code == 2
     assert err.startswith("config error:") and len(err.splitlines()) == 1
     assert not (tmp_path / "run").exists()
