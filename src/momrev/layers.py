@@ -4,6 +4,8 @@ Every layer owns its parameters (value + gradient accumulator), caches
 whatever its backward pass needs when run in train mode, and exposes the
 arrays in that cache so the memory ledger can audit it. Backward consumes
 the cache, accumulates parameter gradients and returns the input gradient.
+A cache holds arrays the network holds anyway, not copies made from them;
+backward rebuilds a copy it needs (an upsampled input, a concatenation).
 
 Image tensors are batched and channels-first: B x C x H x W.
 """
@@ -215,22 +217,33 @@ class Tanh(Layer):
 
 
 class MaxPool2(Layer):
-    """2x2 max pooling, stride 2."""
+    """2x2 max pooling, stride 2. Caches its input, which the network holds
+    anyway (a skip, or a ReLU output), and finds the argmax again in
+    backward."""
+
+    @staticmethod
+    def _windows(x):
+        b, c, h, w = x.shape
+        windows = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+        return windows.reshape(b, c, h // 2, w // 2, 4)
 
     def forward(self, x, train=True):
-        b, c, h, w = x.shape
+        h, w = x.shape[-2:]
         if h % 2 or w % 2:
             raise ShapeError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-        windows = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        windows = windows.reshape(b, c, h // 2, w // 2, 4)
+        windows = self._windows(x)
         idx = windows.argmax(axis=-1)
         y = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
         if train:
-            self._cache = (idx, x.shape)
+            self._cache = x
         return y
 
     def backward(self, gy):
-        idx, (b, c, h, w) = self._take_cache()
+        x = self._take_cache()
+        b, c, h, w = x.shape
+        windows = self._windows(x)
+        idx = windows.argmax(axis=-1)
+        del windows  # a copy of x: free it before gwin is allocated
         gwin = np.zeros((b, c, h // 2, w // 2, 4), dtype=gy.dtype)
         np.put_along_axis(gwin, idx[..., None], gy[..., None], axis=-1)
         gx = gwin.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
@@ -247,6 +260,43 @@ class Upsample2(Layer):
         h2, w2 = gy.shape[-2], gy.shape[-1]
         shape = gy.shape[:-2] + (h2 // 2, 2, w2 // 2, 2)
         return gy.reshape(shape).sum(axis=(-3, -1))
+
+
+class UpConv2d(Conv2d):
+    """Nearest-neighbor 2x upsampling, then the convolution. Caches the
+    small input, not the 4x upsampled copy, and rebuilds that copy in
+    backward."""
+
+    upsample = Upsample2()
+
+    def forward(self, x, train=True):
+        y = super().forward(self.upsample.forward(x), train=False)
+        if train:
+            self._cache = x
+        return y
+
+    def backward(self, gy):
+        self._cache = self.upsample.forward(self._take_cache())
+        return self.upsample.backward(super().backward(gy))
+
+
+class FuseConv2d(Conv2d):
+    """Convolution over the channel concatenation of a tuple of arrays.
+    Caches the parts, which the network holds anyway, not their
+    concatenation, rebuilds that in backward and returns one gradient per
+    part."""
+
+    def forward(self, parts, train=True):
+        y = super().forward(np.concatenate(parts, axis=1), train=False)
+        if train:
+            self._cache = tuple(parts)
+        return y
+
+    def backward(self, gy):
+        parts = self._take_cache()
+        self._cache = np.concatenate(parts, axis=1)
+        gx = super().backward(gy)
+        return tuple(np.split(gx, np.cumsum([p.shape[1] for p in parts[:-1]]), axis=1))
 
 
 class GlobalAvgPool(Layer):

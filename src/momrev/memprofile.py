@@ -17,19 +17,23 @@ retained total.
 
 `compare_modes` tabulates the ledger of a run's network, every stage
 rebuilt at each chain depth in both modes (stored only when a stage has
-gamma = 0, which cannot invert), on a batch of the run's size and dtype.
+gamma = 0, which cannot invert), on a batch of the run's size and dtype,
+next to `peak_bytes`: the `tracemalloc` peak over that forward and
+backward, in real bytes, transients and gradients included (the batch and
+the parameters are allocated before it starts).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 
 from . import network as network_mod
 
 LEDGER_COLUMNS = ["depth", "mode", "chain_states", "f_transient_peak",
-                  "transitions", "total"]
+                  "transitions", "total", "peak_bytes"]
 
 
 def profile_forward(net, batch: np.ndarray) -> network_mod.MemoryLedger:
@@ -61,7 +65,12 @@ def compare_modes(descriptor: network_mod.NetworkDescriptor, batch: np.ndarray,
                       for s in descriptor.stages]
             desc = dataclasses.replace(descriptor, stages=stages)
             net = network_mod.build(desc, seed=0, dtype=batch.dtype)
-            ledger = profile_forward(net, batch)
+            tracemalloc.start()
+            try:
+                ledger = profile_forward(net, batch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
             rows.append([depth, mode, ledger.chain_states, ledger.f_transient_peak,
-                         ledger.transitions, ledger.total])
+                         ledger.transitions, ledger.total, peak])
     return rows

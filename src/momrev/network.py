@@ -6,16 +6,19 @@ Two toy architectures share the same building blocks:
   transitions -> global average pool -> linear logits.
 * segmenter: U-Net style encoder/decoder. Encoder stages are momentum
   chains; skips are taken before each downsampling transition and
-  concatenated channel-wise in the decoder; a 1x1 conv emits per-pixel
-  logits. Pools/upsamples are not invertible, so only the chains run
-  reversibly.
+  concatenated channel-wise with the up conv's output by the fuse conv; a
+  1x1 conv emits per-pixel logits. Pools/upsamples are not invertible, so
+  only the chains run reversibly.
 
 A train-mode forward holds activations only in the layers' caches and the
 chains' retained states, which are also the only record of a pending
-backward. `train_backward` consumes both as it goes, so each activation is
-freed once backward has read it for the last time; without a pending
-train-mode predict the head finds no cache and raises StateError before
-any gradient moves.
+backward. Layer caches hold no copies: each conv and pool keeps its input
+(the up conv's before upsampling), the fuse conv its parts (the up ReLU's
+output and the skip) and each ReLU its output, so every chain output is
+also a layer's cache. `train_backward` consumes both as it goes, so each
+activation is freed once backward has read it for the last time; without
+a pending train-mode predict the head finds no cache and raises
+StateError before any gradient moves.
 """
 
 from __future__ import annotations
@@ -28,12 +31,13 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .layers import (
     Conv2d,
+    FuseConv2d,
     GlobalAvgPool,
     Linear,
     MaxPool2,
     ReLU,
     Sequential,
-    Upsample2,
+    UpConv2d,
     assign_checkpoint,
     distinct_scalars,
     load_checkpoint,
@@ -243,16 +247,15 @@ class SegmenterNet(Network):
             wi = s.width
             self.ups.append(
                 Sequential(
-                    [Upsample2(),
-                     Conv2d(stages[i + 1].width, wi, 3, rng=rng, init="he",
-                            dtype=dtype, name=f"up{i}.conv"),
+                    [UpConv2d(stages[i + 1].width, wi, 3, rng=rng, init="he",
+                              dtype=dtype, name=f"up{i}.conv"),
                      ReLU()],
                 )
             )
             self.fuses.append(
                 Sequential(
-                    [Conv2d(2 * wi, wi, 3, rng=rng, init="he",
-                            dtype=dtype, name=f"fuse{i}.conv"),
+                    [FuseConv2d(2 * wi, wi, 3, rng=rng, init="he",
+                                dtype=dtype, name=f"fuse{i}.conv"),
                      ReLU()],
                 )
             )
@@ -280,9 +283,7 @@ class SegmenterNet(Network):
                 x = self.downs[i].forward(x, train=train)
         for j in range(m - 1):  # ups[j] decodes level m-2-j
             x = self.ups[j].forward(x, train=train)
-            skip = skips[m - 2 - j]
-            x = np.concatenate([x, skip], axis=1)
-            x = self.fuses[j].forward(x, train=train)
+            x = self.fuses[j].forward((x, skips[m - 2 - j]), train=train)
             x = self.dec_chains[j].forward(x, train=train).x
         return self.head.forward(x, train=train)
 
@@ -292,10 +293,8 @@ class SegmenterNet(Network):
         skip_grads = [None] * (m - 1)
         for j in reversed(range(m - 1)):
             g = self.dec_chains[j].backward(g)
-            g = self.fuses[j].backward(g)
-            half = g.shape[1] // 2
-            skip_grads[m - 2 - j] = g[:, half:]
-            g = self.ups[j].backward(g[:, :half])
+            g, skip_grads[m - 2 - j] = self.fuses[j].backward(g)
+            g = self.ups[j].backward(g)
         for i in reversed(range(m)):
             if i < m - 1:
                 g = self.downs[i].backward(g)

@@ -152,7 +152,8 @@ def test_memprofile_csv(tmp_path, capsys):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "depth,mode,chain_states,f_transient_peak,transitions,total"
+    assert lines[0] == ("depth,mode,chain_states,f_transient_peak,transitions,total,"
+                        "peak_bytes")
     assert [l.split(",")[:2] for l in lines[1:]] == [
         ["1", "stored"], ["1", "reversible"], ["2", "stored"], ["2", "reversible"]]
     assert (tmp_path / "memprofile.csv").read_text() == out

@@ -71,6 +71,59 @@ def test_cache_size_counts_a_shared_buffer_once():
     assert len(f.cached_arrays()) == 3
 
 
+def test_up_conv_is_upsample_then_conv_caching_the_small_input():
+    x = rng(20).normal(size=(2, 3, 3, 4))
+    gy = rng(21).normal(size=(2, 2, 6, 8))
+    up = layers.UpConv2d(3, 2, 3, rng=rng(22))
+    ref = layers.Sequential([layers.Upsample2(), layers.Conv2d(3, 2, 3, rng=rng(22))])
+    assert np.array_equal(up.forward(x), ref.forward(x))
+    (cached,) = up.cached_arrays()
+    assert cached is x
+    assert np.array_equal(up.backward(gy), ref.backward(gy))
+    for p, q in zip(up.params(), ref.params()):
+        assert np.array_equal(p.grad, q.grad)
+
+
+def test_fuse_conv_is_concatenate_then_conv_caching_the_parts():
+    r = rng(23)
+    parts = (r.normal(size=(2, 2, 4, 4)), r.normal(size=(2, 3, 4, 4)))
+    gy = r.normal(size=(2, 2, 4, 4))
+    fuse = layers.FuseConv2d(5, 2, 3, rng=rng(24))
+    ref = layers.Conv2d(5, 2, 3, rng=rng(24))
+    assert np.array_equal(fuse.forward(parts), ref.forward(np.concatenate(parts, axis=1)))
+    cached = fuse.cached_arrays()
+    assert len(cached) == 2 and all(a is b for a, b in zip(cached, parts))
+    grads = fuse.backward(gy)
+    assert [g.shape for g in grads] == [p.shape for p in parts]
+    assert np.array_equal(np.concatenate(grads, axis=1), ref.backward(gy))
+    for p, q in zip(fuse.params(), ref.params()):
+        assert np.array_equal(p.grad, q.grad)
+
+
+def test_fuse_conv_gradients_match_finite_differences():
+    r = rng(25)
+    fuse = layers.FuseConv2d(3, 2, 3, rng=r)
+    parts = (r.normal(size=(2, 1, 4, 4)), r.normal(size=(2, 2, 4, 4)))
+    w = r.normal(size=(2, 2, 4, 4))
+
+    def loss():
+        return float((fuse.forward(parts, train=False) * w).sum())
+
+    fuse.forward(parts, train=True)
+    for g, part in zip(fuse.backward(w), parts):
+        assert rel_err(g, fd_grad(loss, part)) <= 1e-6
+    for p in fuse.params():
+        assert rel_err(p.grad, fd_grad(loss, p.value)) <= 1e-6
+
+
+def test_maxpool_caches_its_input():
+    pool = layers.MaxPool2()
+    x = rng(26).normal(size=(2, 2, 4, 4))
+    pool.forward(x)
+    (cached,) = pool.cached_arrays()
+    assert cached is x
+
+
 def test_linear_identity():
     layer = layers.Linear(2, 2, rng=rng(0))
     layer.w.value[...] = np.eye(2)
@@ -115,12 +168,13 @@ def _layer_cases(r):
     cases.append((layers.MaxPool2(), r.normal(size=(2, 2, 4, 4))))
     cases.append((layers.Upsample2(), r.normal(size=(2, 2, 3, 3))))
     cases.append((layers.GlobalAvgPool(), r.normal(size=(2, 3, 4, 4))))
+    cases.append((layers.UpConv2d(2, 3, 3, rng=r), r.normal(size=(2, 2, 3, 3))))
     return cases
 
 
 @pytest.mark.parametrize("case", range(13))
 def test_layer_gradients_match_finite_differences(case):
-    # 13 parametrized rounds x 8 layers > 100 random gradient checks
+    # 13 parametrized rounds x 9 layers > 100 random gradient checks
     r = rng(100 + case)
     for layer, x in _layer_cases(r):
         w = r.normal(size=layer.forward(x, train=False).shape)

@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import io
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from momrev import memprofile, metrics, network
+from momrev import memprofile, metrics, network, train
 from util import rng
 
 
@@ -66,22 +67,38 @@ def two_stage_descriptor(task, mode, blocks=2):
     )
 
 
+def _held_by_train_predict(net, draw):
+    """Bytes a train predict leaves held, batch included: `draw` makes the
+    batch inside the trace, since the stem caches it."""
+    tracemalloc.start()
+    try:
+        net.predict(draw(), train=True)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 def test_segmenter_skips_counted():
     # the ledger's total is the bytes a train predict leaves held, in both
     # tasks and modes: every buffer counts once, whatever holds it
     for task in ("segmentation", "classification"):
         for mode in ("stored", "reversible"):
             net = network.build(two_stage_descriptor(task, mode), seed=0)
-            tracemalloc.start()
-            try:
-                batch = rng(2).normal(size=(4, 1, 16, 16))  # the stem caches it
-                net.predict(batch, train=True)
-                held = tracemalloc.get_traced_memory()[0]
-            finally:
-                tracemalloc.stop()
+            held = _held_by_train_predict(net, lambda: rng(2).normal(size=(4, 1, 16, 16)))
             ledger = net.memory_ledger()
             assert ledger.total <= ledger.chain_states + ledger.transitions
             assert ledger.total * 8 == pytest.approx(held, rel=0.02), (task, mode)
+    # and in float32 on both presets, where a cache of another dtype (an
+    # int64 index) would count at the wrong itemsize
+    for cfg in (train.segmentation_defaults(), train.classification_defaults()):
+        desc = cfg.descriptor()
+        for mode in ("stored", "reversible"):
+            desc.stages = [dataclasses.replace(s, mode=mode) for s in desc.stages]
+            net = network.build(desc, seed=0, dtype=np.float32)
+            held = _held_by_train_predict(net, lambda: rng(2).normal(
+                size=(cfg.batch_size, *desc.input_shape)).astype(np.float32))
+            assert net.memory_ledger().total * 4 == pytest.approx(held, rel=0.02), \
+                (desc.task, mode)
 
 
 def test_backward_frees_activations_at_last_read():
@@ -139,6 +156,8 @@ def test_compare_modes_rows_and_scaling():
         assert (by[(d, "stored")]["f_transient_peak"]
                 == by[(d, "reversible")]["f_transient_peak"])
         assert by[(d, "stored")]["transitions"] == by[(d, "reversible")]["transitions"]
+    for row in by.values():
+        assert row["peak_bytes"] >= row["total"] * batch.itemsize
 
 
 def test_ledger_csv_roundtrip():

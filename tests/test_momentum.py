@@ -12,7 +12,6 @@ from momrev.momentum import (
     MomentumChain,
     MomentumState,
 )
-from momrev.verify import collect_grads, fd_grad, rel_err
 from util import rng
 
 
@@ -168,9 +167,9 @@ def test_chain_backward_resnet_endpoint_grads():
     assert w_param.grad[0, 0] == pytest.approx(3.0)
 
 
-def _conv_chain(depth, gamma, mode, dtype=np.float64, seed=9):
+def _conv_chain(depth, gamma, mode, dtype=np.float64):
     return MomentumChain(
-        [MomentumBlock(gamma, conv_f(100 * seed + j, dtype=dtype)) for j in range(depth)],
+        [MomentumBlock(gamma, conv_f(900 + j, dtype=dtype)) for j in range(depth)],
         mode)
 
 
@@ -185,28 +184,6 @@ def test_stored_chain_retains_only_block_inputs():
     held = chain.retained_arrays()
     assert len(held) == 3 and held[0] is x0
     assert all(np.array_equal(a, x) for a, x in zip(held, inputs))
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_depth10_stored_vs_reversible_and_fd(seed):
-    depth = 10
-    x0 = rng(500 + seed).normal(size=(1, 2, 4, 4))
-    w = rng(600 + seed).normal(size=(1, 2, 4, 4))
-    stored = _conv_chain(depth, 0.9, STORED, seed=seed)
-    rev = _conv_chain(depth, 0.9, REVERSIBLE, seed=seed)
-    gx_s, pg_s = collect_grads(stored, x0, w)
-    gx_r, pg_r = collect_grads(rev, x0, w)
-    assert rel_err(gx_s, gx_r) <= 1e-8
-    assert rel_err(pg_s, pg_r) <= 1e-8
-
-    def loss():
-        out = stored.forward(x0, train=False)
-        return float((out.x * w).sum())
-
-    assert rel_err(gx_s, fd_grad(loss, x0)) <= 1e-6
-    gx_s, _ = collect_grads(stored, x0, w)  # refresh accumulators after fd probing
-    for p in stored.params()[:4]:  # a parameter subset keeps runtime bounded
-        assert rel_err(p.grad, fd_grad(loss, p.value)) <= 1e-6
 
 
 @pytest.mark.parametrize("mode", [STORED, REVERSIBLE])

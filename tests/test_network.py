@@ -217,12 +217,20 @@ def test_backward_frees_every_cache(make):
 
 
 def test_reversible_head_input_is_counted_once():
+    # every reversible chain's output x_n is also a layer's cached input: the
+    # head's (dec0), the up conv's (enc1) and the pool's and fuse's (enc0,
+    # the skip), so the total subtracts each of those buffers once
     net = network.build(micro_seg_descriptor(), seed=9)
     net.predict(rng(10).normal(size=(2, 1, 4, 4)), train=True)
+    caches = [a for layer in net.layers() for a in layer.cached_arrays()]
+    outputs = [c.retained_arrays()[0] for c in net.chains()]
     (head_input,) = net.head.cached_arrays()
-    assert any(a is head_input for a in net.dec_chains[-1].retained_arrays())
+    assert any(x is head_input for x in outputs)
+    for x in outputs:
+        assert any(a is x for a in caches)
     ledger = net.memory_ledger()
-    assert ledger.total == ledger.chain_states + ledger.transitions - head_input.size
+    assert ledger.total == (ledger.chain_states + ledger.transitions
+                            - sum(x.size for x in outputs))
 
 
 def test_stored_chain_input_is_the_relu_output_counted_once():
