@@ -88,7 +88,10 @@ class NetworkDescriptor:
             raise ConfigError(
                 f"spatial dims {h}x{w} not divisible by the {factor}x pooling factor"
             )
-        if self.task == "classification" and self.num_classes < 2:
+        k = self.num_classes
+        if isinstance(k, bool) or not isinstance(k, Integral):
+            raise ConfigError(f"num_classes: must be an integer, got {k!r}")
+        if self.task == "classification" and k < 2:
             raise ConfigError("classification needs num_classes >= 2")
 
 

@@ -4,8 +4,8 @@ per-epoch CSV logging, and split evaluation."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from numbers import Integral
+from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,17 @@ from .optim import Adam, EarlyStopper
 SPLIT_SEED = 7
 
 
+def _check_field_types(cfg, prefix=""):
+    """Raise ConfigError for a field whose value does not fit its annotation.
+    A bool is not an int, and an int is a float."""
+    kinds = {"int": Integral, "float": Real, "str": str, "dict": dict,
+             "str | None": (str, type(None)), "DataConfig": DataConfig}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, bool) or not isinstance(value, kinds[f.type]):
+            raise ConfigError(f"{prefix}{f.name}: must be {f.type}, got {value!r}")
+
+
 @dataclass
 class DataConfig:
     generator: str = "shapes"  # shapes | blobs | dir
@@ -30,6 +41,9 @@ class DataConfig:
     hw: int = 32
     k_classes: int = 4
     path: str | None = None
+
+    def __post_init__(self):
+        _check_field_types(self, "data.")
 
 
 @dataclass
@@ -54,6 +68,7 @@ class TrainConfig:
     def __post_init__(self):
         if isinstance(self.data, dict):
             self.data = DataConfig(**self.data)
+        _check_field_types(self)
         if self.task not in ("segmentation", "classification"):
             raise ConfigError(f"task: unknown value {self.task!r}")
         if self.dtype not in ("float32", "float64"):

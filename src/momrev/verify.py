@@ -5,8 +5,9 @@ metric oracles.
 
 Each suite returns a VerifyResult. They are the one implementation of
 these checks: `run_all`, what the CLI's verify subcommand executes, runs
-them at small counts, and the acceptance tests run the same suites at
-larger ones. Chains, layers and losses run in float64 here, and every
+them, and the acceptance tests run the same suites, the gradient, loss
+and metric suites at larger counts. Each suite fixes its own seed and
+tolerance. Chains, layers and losses run in float64 here, and every
 block uses the conv residual body the networks build.
 The oracles are deliberately naive (explicit loops, set arithmetic,
 central differences) and share no code with the implementations they
@@ -80,12 +81,12 @@ def fd_grad(fn, x, h=1e-5):
 # ---------------------------------------------------------------- suites
 
 
-def suite_inversion_roundtrip(cases=100, gammas=(0.1, 0.5, 0.9, 1.0),
-                              tol=1e-10, seed=11) -> VerifyResult:
-    rng = _rng(seed)
+def suite_inversion_roundtrip() -> VerifyResult:
+    """inverse(forward(s)) == s for 100 random conv blocks at each gamma."""
+    rng, tol = _rng(11), 1e-10
     worst = 0.0
-    for gamma in gammas:
-        for _ in range(cases):
+    for gamma in (0.1, 0.5, 0.9, 1.0, 0.05):
+        for _ in range(100):
             block = MomentumBlock(gamma, build_residual_function(2, rng, np.float64))
             s = MomentumState(rng.normal(size=(1, 2, 4, 4)), rng.normal(size=(1, 2, 4, 4)))
             s2 = block.forward(s)
@@ -96,10 +97,10 @@ def suite_inversion_roundtrip(cases=100, gammas=(0.1, 0.5, 0.9, 1.0),
                         f"max |inverse(forward(s)) - s| = {worst:.3e} (tol {tol:g})")
 
 
-def suite_chain_roundtrip(depth=10, gamma=0.9, cases=20, tol=1e-8, seed=12) -> VerifyResult:
-    rng = _rng(seed)
+def suite_chain_roundtrip(depth=10, gamma=0.9) -> VerifyResult:
+    rng, tol = _rng(12), 1e-8
     worst = 0.0
-    for _ in range(cases):
+    for _ in range(20):
         chain = build_chain(2, depth, gamma, REVERSIBLE, rng, name="verify")
         s = MomentumState(rng.normal(size=(1, 2, 4, 4)), rng.normal(size=(1, 2, 4, 4)))
         state = s
@@ -113,8 +114,8 @@ def suite_chain_roundtrip(depth=10, gamma=0.9, cases=20, tol=1e-8, seed=12) -> V
                         f"depth-{depth} round-trip error = {worst:.3e} (tol {tol:g})")
 
 
-def suite_resnet_endpoint(cases=100, seed=13) -> VerifyResult:
-    rng = _rng(seed)
+def suite_resnet_endpoint() -> VerifyResult:
+    rng, cases = _rng(13), 100
     ok = True
     for _ in range(cases):
         f = build_residual_function(2, rng, np.float64)
@@ -129,11 +130,11 @@ def suite_resnet_endpoint(cases=100, seed=13) -> VerifyResult:
                         else "bitwise mismatch at gamma=0")
 
 
-def suite_gradient_modes(depth=10, gamma=0.9, seeds=20, tol=1e-8, fd_tol=1e-6,
-                         fd_cases=3) -> VerifyResult:
+def suite_gradient_modes(depth=10, gamma=0.9, seeds=20, fd_cases=3) -> VerifyResult:
     """Stored vs reversible gradients of conv chains; for the first
     `fd_cases` seeds, finite differences of the input and of every
     parameter."""
+    tol, fd_tol = 1e-8, 1e-6
     worst_mode = 0.0
     worst_fd = 0.0
     for s in range(seeds):
@@ -160,8 +161,8 @@ def suite_gradient_modes(depth=10, gamma=0.9, seeds=20, tol=1e-8, fd_tol=1e-6,
     )
 
 
-def suite_loss_gradients(cases=25, tol=1e-6, seed=23) -> VerifyResult:
-    rng = _rng(seed)
+def suite_loss_gradients(cases=25) -> VerifyResult:
+    rng, tol = _rng(23), 1e-6
     worst = 0.0
     for _ in range(cases):
         z = rng.normal(size=(2, 1, 3, 3)) * 2
@@ -259,11 +260,11 @@ def oracle_mcc(confusion):
     return 0.0 if den == 0 else cov_tp / den
 
 
-def suite_metric_oracles(cases=200, seed=19) -> VerifyResult:
+def suite_metric_oracles(cases=200) -> VerifyResult:
     """`cases` random 8x8 mask pairs against the oracles (ratio metrics
     exact, Hausdorff within 1e-12, the DSC-IoU identity within 1e-12), then
     `cases` random 4x4 confusion matrices against the MCC oracle."""
-    rng = _rng(seed)
+    rng = _rng(19)
     worst_identity = 0.0
     for _ in range(cases):
         pred = (rng.uniform(size=(8, 8)) < rng.uniform(0.05, 0.7)).astype(np.uint8)

@@ -2,8 +2,8 @@
 
 Each test prints a single PASS/FAIL line per check (run with `pytest -s`
 to see them on a green run). The property checks call the suites of
-`momrev.verify`, the same code `momrev verify` runs, at larger counts and
-under wall-clock budgets. The training checks share one segmentation run
+`momrev.verify`, the same code `momrev verify` runs, some at larger
+counts, and under wall-clock budgets. The training checks share one segmentation run
 via a module fixture; budgets were calibrated so the whole module stays
 well under its wall-clock limits on 4 CPU cores.
 """
@@ -39,18 +39,17 @@ def report(result, start=None, budget=None):
 
 def test_inversion_round_trip():
     start = time.perf_counter()
-    report(suite_inversion_roundtrip(cases=100, tol=1e-10))
-    report(suite_chain_roundtrip(depth=10, gamma=0.9, cases=20, tol=1e-8), start, 30)
+    report(suite_inversion_roundtrip())
+    report(suite_chain_roundtrip(depth=10, gamma=0.9), start, 30)
 
 
 def test_plain_residual_endpoint_bit_exact():
-    report(suite_resnet_endpoint(cases=100))
+    report(suite_resnet_endpoint())
 
 
 def test_gradient_mode_agreement_and_fd():
     start = time.perf_counter()
-    report(suite_gradient_modes(depth=10, gamma=0.9, seeds=20, tol=1e-8, fd_tol=1e-6,
-                                fd_cases=20), start, 120)
+    report(suite_gradient_modes(depth=10, gamma=0.9, seeds=20, fd_cases=20), start, 120)
 
 
 def test_memory_ledger_scaling():
@@ -77,7 +76,7 @@ def test_metric_oracles_thousand_cases():
 
 
 def test_loss_gradients_fd():
-    report(suite_loss_gradients(cases=100, tol=1e-6))
+    report(suite_loss_gradients(cases=100))
 
 
 # -------------------- training checks (shared segmentation run) --------

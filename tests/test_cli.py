@@ -321,6 +321,27 @@ def test_inconsistent_network_config_exit_code(tmp_path, capsys, network):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("overrides, named", [
+    (dict(network={**_seg_network(), "num_classes": 2.5}), "num_classes"),
+    (dict(data=dict(generator="shapes", n="20", hw=16)), "data.n"),
+    (dict(seed=1.5), "seed"),
+    (dict(lr="x"), "lr"),
+    (dict(batch_size=2.5), "batch_size"),
+    (dict(epochs=True), "epochs"),
+    (dict(lr=1, weight_decay=0, epochs=0), None),
+], ids=["float-num-classes", "string-n", "float-seed", "string-lr", "float-batch-size",
+        "bool-epochs", "int-for-float"])
+def test_wrong_typed_config_value_exit_code(tmp_path, capsys, overrides, named):
+    cfg_path = tiny_seg_config(tmp_path, **overrides)
+    code, _, err = run(["train", "--config", str(cfg_path)], capsys)
+    if named is None:
+        assert code == 0 and err == ""
+        return
+    assert code == 2
+    assert err.startswith(f"config error: {named}:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("defaults, data, num_classes", [
     (classification_defaults, dict(generator="shapes", n=20, hw=16), None),
     (segmentation_defaults, dict(generator="blobs", n=20, hw=32), None),

@@ -2,8 +2,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from momrev import layers
 from momrev.errors import ConfigError, ShapeError, StateError
@@ -200,14 +198,13 @@ def test_residual_function_zero_weights_is_zero():
     assert np.array_equal(f.forward(x, train=False), np.zeros_like(x))
 
 
-@given(st.sampled_from([(1, 4, 8, 8), (1, 2, 4, 4), (2, 1, 6, 6), (3, 3, 4, 8)]),
-       st.integers(0, 1000))
-@settings(max_examples=20, deadline=None)
-def test_residual_function_preserves_shape(shape, seed):
-    r = rng(seed)
-    f = layers.build_residual_function(shape[1], r)
-    x = r.normal(size=shape)
-    assert f.forward(x, train=False).shape == shape
+def test_residual_function_preserves_shape():
+    for seed in range(20):
+        shape = [(1, 4, 8, 8), (1, 2, 4, 4), (2, 1, 6, 6), (3, 3, 4, 8)][seed % 4]
+        r = rng(seed)
+        f = layers.build_residual_function(shape[1], r)
+        x = r.normal(size=shape)
+        assert f.forward(x, train=False).shape == shape
 
 
 def test_linear_shape_error():

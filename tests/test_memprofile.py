@@ -10,36 +10,45 @@ from momrev import memprofile, metrics, network, train
 from util import rng
 
 
-def chain_descriptor(mode, blocks, width=4, hw=8):
+def chain_descriptor(mode, blocks):
     return network.NetworkDescriptor(
         task="classification",
-        input_shape=(1, hw, hw),
-        stages=[dict(width=width, blocks=blocks, gamma=0.9, mode=mode)],
+        input_shape=(1, 8, 8),
+        stages=[dict(width=4, blocks=blocks, gamma=0.9, mode=mode)],
         num_classes=2,
     )
 
 
-def ledger_for(mode, blocks, batch_size=2, width=4, hw=8):
-    desc = chain_descriptor(mode, blocks, width=width, hw=hw)
-    net = network.build(desc, seed=0)
-    batch = rng(1).normal(size=(batch_size, 1, hw, hw))
+def ledger_for(mode, blocks):
+    net = network.build(chain_descriptor(mode, blocks), seed=0)
+    return memprofile.profile_forward(net, rng(1).normal(size=(2, 1, 8, 8)))
+
+
+def preset_ledger(cfg, mode, blocks):
+    """The ledger of a preset's network as it trains (its batch size and
+    dtype), every stage rebuilt at `blocks` blocks in `mode`."""
+    desc = cfg.descriptor()
+    desc.stages = [dataclasses.replace(s, blocks=blocks, mode=mode) for s in desc.stages]
+    net = network.build(desc, seed=0, dtype=cfg.np_dtype())
+    batch = np.zeros((cfg.batch_size, *desc.input_shape), dtype=cfg.np_dtype())
     return memprofile.profile_forward(net, batch)
+
+
+# the classification preset's stage states: 32*8*16*16 + 32*16*8*8 scalars;
+# test_acceptance::test_memory_ledger_scaling pins the segmentation preset's
+CLS_STATES = 32 * 8 * 16 * 16 + 32 * 16 * 8 * 8
 
 
 @pytest.mark.parametrize("blocks", [1, 2, 4, 8, 16])
 def test_stored_chain_memory_is_one_state_size_per_block(blocks):
-    batch_size, width, hw = 2, 4, 8
-    state = batch_size * width * hw * hw
-    ledger = ledger_for("stored", blocks, batch_size, width, hw)
-    assert ledger.chain_states == state * blocks
+    ledger = preset_ledger(train.classification_defaults(), "stored", blocks)
+    assert ledger.chain_states == CLS_STATES * blocks
 
 
 @pytest.mark.parametrize("blocks", [1, 2, 4, 8, 16])
 def test_reversible_chain_memory_is_constant(blocks):
-    batch_size, width, hw = 2, 4, 8
-    state = batch_size * width * hw * hw
-    ledger = ledger_for("reversible", blocks, batch_size, width, hw)
-    assert ledger.chain_states == 2 * state
+    ledger = preset_ledger(train.classification_defaults(), "reversible", blocks)
+    assert ledger.chain_states == 2 * CLS_STATES
 
 
 def test_transient_peak_and_fixed_costs_match_across_modes():
@@ -143,16 +152,15 @@ def test_gradients_unchanged_by_profiling():
 
 
 def test_compare_modes_rows_and_scaling():
-    desc = chain_descriptor("reversible", 1)
-    batch = rng(6).normal(size=(2, 1, 8, 8))
-    depths = [1, 2, 4, 8]
+    # chain_states on this preset are pinned by test_memory_ledger_scaling
+    cfg = train.segmentation_defaults()
+    desc = cfg.descriptor()
+    batch = np.zeros((cfg.batch_size, *desc.input_shape), dtype=cfg.np_dtype())
+    depths = [1, 2]
     rows = memprofile.compare_modes(desc, batch, depths)
     assert len(rows) == 2 * len(depths)
-    state = 2 * 4 * 8 * 8
     by = {(r[0], r[1]): dict(zip(memprofile.LEDGER_COLUMNS, r)) for r in rows}
     for d in depths:
-        assert by[(d, "stored")]["chain_states"] == state * d
-        assert by[(d, "reversible")]["chain_states"] == 2 * state
         assert (by[(d, "stored")]["f_transient_peak"]
                 == by[(d, "reversible")]["f_transient_peak"])
         assert by[(d, "stored")]["transitions"] == by[(d, "reversible")]["transitions"]

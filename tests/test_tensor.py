@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from momrev import layers, tensor
 from momrev.errors import DataError, ShapeError
@@ -66,17 +64,16 @@ def draw_geometry(r):
     return batch, c_in, c_out, k, h, w
 
 
-@given(st.integers(0, 10_000))
-@settings(max_examples=25, deadline=None)
-def test_conv2d_matches_bruteforce(seed):
-    r = rng(seed)
-    batch, c_in, c_out, k, h, w = draw_geometry(r)
-    inp = r.normal(size=(batch, c_in, h, w))
-    kern = r.normal(size=(c_out, c_in, k, k))
-    got = tensor.conv2d_batched(inp, kern)
-    want = np.stack([conv2d_bruteforce(x, kern, 1, k // 2) for x in inp])
-    assert got.shape == want.shape == (batch, c_out, h, w)
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+def test_conv2d_matches_bruteforce():
+    for seed in range(25):
+        r = rng(seed)
+        batch, c_in, c_out, k, h, w = draw_geometry(r)
+        inp = r.normal(size=(batch, c_in, h, w))
+        kern = r.normal(size=(c_out, c_in, k, k))
+        got = tensor.conv2d_batched(inp, kern)
+        want = np.stack([conv2d_bruteforce(x, kern, 1, k // 2) for x in inp])
+        assert got.shape == want.shape == (batch, c_out, h, w)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def conv2d_backward_bruteforce(inp, kernels, gy, stride, padding):
@@ -100,21 +97,20 @@ def conv2d_backward_bruteforce(inp, kernels, gy, stride, padding):
     return gxp[:, padding : padding + h, padding : padding + w], gw
 
 
-@given(st.integers(0, 10_000))
-@settings(max_examples=25, deadline=None)
-def test_conv2d_backward_matches_bruteforce(seed):
-    r = rng(seed)
-    batch, c_in, c_out, k, h, w = draw_geometry(r)
-    conv = layers.Conv2d(c_in, c_out, k, rng=r)
-    inp = r.normal(size=(batch, c_in, h, w))
-    gy = r.normal(size=conv.forward(inp).shape)
-    gx = conv.backward(gy)
-    want = [conv2d_backward_bruteforce(x, conv.w.value, g, 1, k // 2)
-            for x, g in zip(inp, gy)]
-    assert gx.shape == inp.shape
-    assert np.allclose(gx, np.stack([g for g, _ in want]), rtol=1e-12, atol=1e-12)
-    assert np.allclose(conv.w.grad, sum(g for _, g in want), rtol=1e-12, atol=1e-12)
-    assert np.allclose(conv.b.grad, gy.sum(axis=(0, 2, 3)), rtol=1e-12, atol=1e-12)
+def test_conv2d_backward_matches_bruteforce():
+    for seed in range(25):
+        r = rng(seed)
+        batch, c_in, c_out, k, h, w = draw_geometry(r)
+        conv = layers.Conv2d(c_in, c_out, k, rng=r)
+        inp = r.normal(size=(batch, c_in, h, w))
+        gy = r.normal(size=conv.forward(inp).shape)
+        gx = conv.backward(gy)
+        want = [conv2d_backward_bruteforce(x, conv.w.value, g, 1, k // 2)
+                for x, g in zip(inp, gy)]
+        assert gx.shape == inp.shape
+        assert np.allclose(gx, np.stack([g for g, _ in want]), rtol=1e-12, atol=1e-12)
+        assert np.allclose(conv.w.grad, sum(g for _, g in want), rtol=1e-12, atol=1e-12)
+        assert np.allclose(conv.b.grad, gy.sum(axis=(0, 2, 3)), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("kh, kw", [(2, 2), (3, 1)])
