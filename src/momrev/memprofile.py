@@ -1,13 +1,14 @@
 """Activation-memory ledger: exact float tallies, not OS bytes.
 
 A ledger counts scalars retained past the operation that produced them
-during one train-mode forward pass, in two categories: the chain states
-the chains' modes keep, and the caches of every layer outside the chains
-(transitions and the head). These are the only places a forward keeps
-activations. Each category counts distinct buffers, and the total counts
-a buffer held in both (a reversible chain's output that the next layer
-caches, a ReLU output that a stored chain keeps as its first state) once,
-so the total times the itemsize is what the arrays occupy. The per-block
+during one train-mode forward pass. A network is one list of parts, and
+the ledger splits their caches by part type: a momentum chain's cache is
+the states its mode keeps, every other part's is a transition's or the
+head's. These caches are the only places a forward keeps activations.
+Each category counts distinct buffers, and the total counts a buffer held
+in both (a reversible chain's output that the next layer caches, a ReLU
+output that a stored chain keeps as its first state) once, so the total
+times the itemsize is what the arrays occupy. The per-block
 working set of a residual function is transient in both backward modes:
 the forward runs f in eval mode, and backward evaluates each f once, in
 train mode, on the retained block input in stored mode and inside

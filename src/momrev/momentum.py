@@ -14,17 +14,18 @@ is invertible:
     v = (v' - (1 - gamma) * f(x)) / gamma
 
 which is what lets a chain run backward without caching per-block states.
-The backward mode belongs to the chain, not to its blocks: a stored chain
-retains the input activation of every block (its backward never reads a
-velocity), a reversible chain retains only its final state and rebuilds
-the others by inversion, so it refuses any gamma = 0 block when it is
-built. The forward runs every f in eval mode, in both modes; backward
-evaluates each block's f once, in train mode: on the retained input in
-stored mode, and inside `inverse` in reversible mode, where the one f(x)
-both recovers v and fills the caches f.backward reads (RevNet's
-backward, Gomez et al. 2017). So the two modes make the same f
-evaluations with the same per-block working set, and differ only in how
-much chain state they retain.
+A chain is a `Layer` from x_0 to x_n, and the states it retains for
+backward are its layer cache. The backward mode belongs to the chain, not
+to its blocks: a stored chain retains the input activation of every block
+(its backward never reads a velocity), a reversible chain retains only its
+final state and rebuilds the others by inversion, so it refuses any
+gamma = 0 block when it is built. The forward runs every f in eval mode,
+in both modes; backward evaluates each block's f once, in train mode: on
+the retained input in stored mode, and inside `inverse` in reversible
+mode, where the one f(x) both recovers v and fills the caches f.backward
+reads (RevNet's backward, Gomez et al. 2017). So the two modes make the
+same f evaluations with the same per-block working set, and differ only
+in how much chain state they retain.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NotInvertibleError, NumericError, StateError
-from .layers import Sequential, build_residual_function
+from .errors import ConfigError, NotInvertibleError, NumericError
+from .layers import Layer, Sequential, build_residual_function
 
 
 @dataclass
@@ -96,65 +97,57 @@ class MomentumBlock:
         return self.f.params()
 
 
-class MomentumChain:
+class MomentumChain(Layer):
     """A stack of momentum blocks over one shared state shape, started
-    from zero velocity.
+    from zero velocity; as a layer it maps x_0 to x_n.
 
     State i is the input of block i and state n the chain output. The
-    forward runs every f in eval mode; in train mode it keeps what its
-    mode's backward reads in `_saved`: stored mode keeps the activations x
-    of states 0..n-1 (S*n scalars for state size S; backward never reads a
-    stored velocity), reversible mode keeps only state n (2*S scalars).
-    Backward takes `_saved` over and evaluates each block's f once, in
-    train mode: on the block input it pops from `_saved` when it is there,
-    inside `inverse` of the next state when it is not. Every state is freed
-    once its block is done. `f_transient_peak` is the largest cache one f
-    held during the last backward.
+    forward runs every f in eval mode; in train mode it caches what its
+    mode's backward reads: stored mode the activations x_0..x_{n-1} (S*n
+    scalars for state size S; backward never reads a stored velocity),
+    reversible mode only x_n and v_n (2*S scalars). Backward takes the
+    cache over and evaluates each block's f once, in train mode: on the
+    block input it pops from the cache in stored mode, inside `inverse` of
+    the next state in reversible mode. Every state is freed once its block
+    is done. `f_transient_peak` is the largest cache one f held during the
+    last backward.
     """
 
-    def __init__(self, blocks: list[MomentumBlock], mode: str = STORED, name="chain"):
+    def __init__(self, blocks: list[MomentumBlock], mode: str = STORED):
         if mode not in (STORED, REVERSIBLE):
             raise ConfigError(f"unknown mode {mode!r}")
         if mode == REVERSIBLE and any(b.gamma == 0.0 for b in blocks):
             raise NotInvertibleError("reversible mode requires gamma > 0")
         self.blocks = list(blocks)
         self.mode = mode
-        self.name = name
-        self._saved: dict[int, np.ndarray | MomentumState] | None = None
         self.f_transient_peak = 0
 
     def params(self):
         return [p for b in self.blocks for p in b.params()]
 
-    def _retains(self, i: int) -> bool:
-        n = len(self.blocks)
-        return i < n if self.mode == STORED else i == n
-
-    def forward(self, x0: np.ndarray, train: bool = True) -> MomentumState:
+    def forward(self, x0: np.ndarray, train: bool = True) -> np.ndarray:
+        stored = train and self.mode == STORED
         state = MomentumState(x0, np.zeros_like(x0))
-        saved = {}
-        for i, block in enumerate(self.blocks):
-            if train and self._retains(i):
-                saved[i] = state.x
+        inputs = []
+        for block in self.blocks:
+            if stored:
+                inputs.append(state.x)
             state = block.forward(state)
         if train:
-            if self._retains(len(self.blocks)):
-                saved[len(self.blocks)] = state
-            self._saved = saved
-        return state
+            self._cache = tuple(inputs) if stored else (state.x, state.v)
+        return state.x
 
     def backward(self, gx: np.ndarray) -> np.ndarray:
         """Returns the gradient w.r.t. x0; accumulates parameter grads."""
-        saved, self._saved = self._saved, None
-        if saved is None:
-            raise StateError(f"{self.name}: backward without forward")
+        if self.mode == STORED:
+            inputs = list(self._take_cache())
+        else:
+            state = MomentumState(*self._take_cache())
         gv = np.zeros_like(gx)
-        state = saved.pop(len(self.blocks), None)
         peak = 0
-        for i in reversed(range(len(self.blocks))):
-            block = self.blocks[i]
-            if i in saved:
-                block.f.forward(saved.pop(i), train=True)
+        for block in reversed(self.blocks):
+            if self.mode == STORED:
+                block.f.forward(inputs.pop(), train=True)
             else:
                 state = block.inverse(state, train=True)
             peak = max(peak, block.f.cache_size())
@@ -162,13 +155,8 @@ class MomentumChain:
         self.f_transient_peak = peak
         return gx
 
-    def retained_arrays(self) -> list[np.ndarray]:
-        """Chain-state arrays currently held for a pending backward."""
-        return [a for s in (self._saved or {}).values()
-                for a in ((s.x, s.v) if isinstance(s, MomentumState) else (s,))]
-
-    def clear(self):
-        self._saved = None
+    def clear_cache(self):
+        super().clear_cache()
         for block in self.blocks:
             block.f.clear_cache()
 
@@ -182,4 +170,4 @@ def build_chain(channels: int, depth: int, gamma: float, mode: str, rng,
         MomentumBlock(gamma, build_residual_function(channels, rng, dtype, f"{name}.b{j}"))
         for j in range(depth)
     ]
-    return MomentumChain(blocks, mode, name)
+    return MomentumChain(blocks, mode)

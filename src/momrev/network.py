@@ -3,19 +3,21 @@
 Two toy architectures share the same building blocks:
 
 * classifier: stem conv -> momentum stages separated by conv+pool
-  transitions -> global average pool -> linear logits.
+  transitions -> global average pool -> linear logits, one `Sequential`.
 * segmenter: U-Net style encoder/decoder. Encoder stages are momentum
   chains; skips are taken before each downsampling transition and
   concatenated channel-wise with the up conv's output by the fuse conv; a
   1x1 conv emits per-pixel logits. Pools/upsamples are not invertible, so
   only the chains run reversibly.
 
-A train-mode forward holds activations only in the layers' caches and the
-chains' retained states, which are also the only record of a pending
-backward. Layer caches hold no copies: each conv and pool keeps its input
-(the up conv's before upsampling), the fuse conv its parts (the up ReLU's
-output and the skip) and each ReLU its output, so every chain output is
-also a layer's cache. `train_backward` consumes both as it goes, so each
+A momentum chain is a layer, so a network is one list of parts: the
+chains and the layers between them. A train-mode forward holds
+activations only in their caches (a chain's cache is the states its mode
+retains), which are also the only record of a pending backward. Layer
+caches hold no copies: each conv and pool keeps its input (the up conv's
+before upsampling), the fuse conv its parts (the up ReLU's output and the
+skip) and each ReLU its output, so every chain output is also a layer's
+cache. `train_backward` consumes the caches as it goes, so each
 activation is freed once backward has read it for the last time; without
 a pending train-mode predict the head finds no cache and raises
 StateError before any gradient moves.
@@ -33,6 +35,7 @@ from .layers import (
     Conv2d,
     FuseConv2d,
     GlobalAvgPool,
+    Layer,
     Linear,
     MaxPool2,
     ReLU,
@@ -54,6 +57,11 @@ class StageSpec:
     mode: str = "reversible"
 
 
+def _is_count(v) -> bool:
+    """An integer >= 1; a bool is not one."""
+    return isinstance(v, Integral) and not isinstance(v, bool) and v >= 1
+
+
 @dataclass
 class NetworkDescriptor:
     task: str  # "classification" | "segmentation"
@@ -68,12 +76,15 @@ class NetworkDescriptor:
             raise ConfigError(f"unknown task {self.task!r}")
         if len(self.input_shape) != 3:
             raise ConfigError(f"input_shape must be (C,H,W), got {self.input_shape}")
+        if not all(map(_is_count, self.input_shape)):
+            raise ConfigError(f"input_shape: entries must be integers >= 1, "
+                              f"got {list(self.input_shape)!r}")
         if not self.stages:
             raise ConfigError("at least one stage is required")
         for i, s in enumerate(self.stages):
             for key in ("width", "blocks"):
                 v = getattr(s, key)
-                if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
+                if not _is_count(v):
                     raise ConfigError(f"stages[{i}].{key}: must be an integer >= 1, got {v!r}")
             real = isinstance(s.gamma, Real) and not isinstance(s.gamma, bool)
             if not (real and 0.0 <= s.gamma <= 1.0):
@@ -97,16 +108,18 @@ class NetworkDescriptor:
 
 @dataclass
 class MemoryLedger:
-    """Activation-memory tally by category, in scalars of distinct buffers.
+    """Activation-memory tally by part type, in scalars of distinct buffers.
 
-    A buffer that is both a chain state and a layer's cached input counts
-    in both categories but once in `total`, so total <= chain_states +
-    transitions. The transient peak is tracked apart from the total.
+    `chain_states` counts the chains' caches, `transitions` every other
+    part's. A buffer that is both a chain state and a layer's cached input
+    counts in both categories but once in `total`, so total <=
+    chain_states + transitions. The transient peak is tracked apart from
+    the total.
     """
 
     chain_states: int
     f_transient_peak: int
-    transitions: int  # every cache outside the chains, head included
+    transitions: int  # head included
     total: int
 
 
@@ -116,15 +129,14 @@ class Network:
     def __init__(self, descriptor: NetworkDescriptor):
         self.descriptor = descriptor
 
-    def chains(self) -> list[MomentumChain]:
-        raise NotImplementedError
-
-    def layers(self) -> list:
-        """Every layer outside the chains, the head last."""
+    def parts(self) -> list[Layer]:
+        """Every chain and every layer outside the chains, the head last."""
         raise NotImplementedError
 
     def params(self):
-        out = [p for part in self.chains() + self.layers() for p in part.params()]
+        # chains first: the order the checkpoint stores the parameters in
+        parts = sorted(self.parts(), key=lambda part: not isinstance(part, MomentumChain))
+        out = [p for part in parts for p in part.params()]
         names = [p.name for p in out]
         if len(names) != len(set(names)):
             raise ConfigError("duplicate parameter registration")
@@ -141,16 +153,16 @@ class Network:
         assign_checkpoint(self.params(), load_checkpoint(path))
 
     def clear_caches(self):
-        for chain in self.chains():
-            chain.clear()
-        for layer in self.layers():
-            layer.clear_cache()
+        for part in self.parts():
+            part.clear_cache()
 
     def memory_ledger(self) -> MemoryLedger:
         """Scalars held right now for a pending train-mode backward."""
-        chains = self.chains()
-        states = [a for c in chains for a in c.retained_arrays()]
-        caches = [a for l in self.layers() for a in l.cached_arrays()]
+        parts = self.parts()
+        chains = [p for p in parts if isinstance(p, MomentumChain)]
+        states = [a for c in chains for a in c.cached_arrays()]
+        caches = [a for p in parts if not isinstance(p, MomentumChain)
+                  for a in p.cached_arrays()]
         return MemoryLedger(
             chain_states=distinct_scalars(states),
             f_transient_peak=max((c.f_transient_peak for c in chains), default=0),
@@ -166,56 +178,38 @@ class Network:
 
 
 class ClassifierNet(Network):
+    """stem -> enc0 -> down0 -> ... -> enc_{m-1} -> head, one `Sequential`."""
+
     def __init__(self, descriptor, rng, dtype=np.float64):
         super().__init__(descriptor)
         c_in = descriptor.input_shape[0]
         stages = descriptor.stages
-        self.stem = Sequential(
-            [Conv2d(c_in, stages[0].width, 3, rng=rng, init="he",
-                    dtype=dtype, name="stem.conv"), ReLU()],
-        )
-        self.stage_chains = []
-        self.downs = []
+        parts = [Sequential([Conv2d(c_in, stages[0].width, 3, rng=rng, init="he",
+                                    dtype=dtype, name="stem.conv"), ReLU()])]
         for i, s in enumerate(stages):
-            self.stage_chains.append(
+            parts.append(
                 build_chain(s.width, s.blocks, s.gamma, s.mode, rng, dtype, f"enc{i}"))
             if i + 1 < len(stages):
-                self.downs.append(
-                    Sequential(
-                        [Conv2d(s.width, stages[i + 1].width, 3, rng=rng,
-                                init="he", dtype=dtype, name=f"down{i}.conv"),
-                         ReLU(), MaxPool2()],
-                    )
-                )
-        self.head = Sequential(
+                parts.append(Sequential(
+                    [Conv2d(s.width, stages[i + 1].width, 3, rng=rng,
+                            init="he", dtype=dtype, name=f"down{i}.conv"),
+                     ReLU(), MaxPool2()]))
+        parts.append(Sequential(
             [GlobalAvgPool(),
              Linear(stages[-1].width, descriptor.num_classes, rng=rng, dtype=dtype,
-                    name="head.fc")],
-        )
+                    name="head.fc")]))
+        self.body = Sequential(parts)
 
-    def chains(self):
-        return self.stage_chains
-
-    def layers(self):
-        return [self.stem] + self.downs + [self.head]
+    def parts(self):
+        return self.body.layers
 
     def predict(self, batch, train=False):
         self._check_batch(batch)
         self.clear_caches()
-        x = self.stem.forward(batch, train=train)
-        for i, chain in enumerate(self.stage_chains):
-            x = chain.forward(x, train=train).x
-            if i < len(self.downs):
-                x = self.downs[i].forward(x, train=train)
-        return self.head.forward(x, train=train)
+        return self.body.forward(batch, train=train)
 
     def train_backward(self, loss_grad):
-        g = self.head.backward(loss_grad)
-        for i in reversed(range(len(self.stage_chains))):
-            if i < len(self.downs):
-                g = self.downs[i].backward(g)
-            g = self.stage_chains[i].backward(g)
-        return self.stem.backward(g)
+        return self.body.backward(loss_grad)
 
 
 class SegmenterNet(Network):
@@ -267,11 +261,9 @@ class SegmenterNet(Network):
         self.head = Conv2d(stages[0].width, 1, 1, rng=rng, init="xavier",
                            dtype=dtype, name="head.conv")
 
-    def chains(self):
-        return self.enc_chains + self.dec_chains
-
-    def layers(self):
-        return [self.stem] + self.downs + self.ups + self.fuses + [self.head]
+    def parts(self):
+        return ([self.stem] + self.enc_chains + self.downs + self.ups + self.fuses
+                + self.dec_chains + [self.head])
 
     def predict(self, batch, train=False):
         self._check_batch(batch)
@@ -280,14 +272,14 @@ class SegmenterNet(Network):
         x = self.stem.forward(batch, train=train)
         skips = []
         for i in range(m):
-            x = self.enc_chains[i].forward(x, train=train).x
+            x = self.enc_chains[i].forward(x, train=train)
             if i < m - 1:
                 skips.append(x)
                 x = self.downs[i].forward(x, train=train)
         for j in range(m - 1):  # ups[j] decodes level m-2-j
             x = self.ups[j].forward(x, train=train)
             x = self.fuses[j].forward((x, skips[m - 2 - j]), train=train)
-            x = self.dec_chains[j].forward(x, train=train).x
+            x = self.dec_chains[j].forward(x, train=train)
         return self.head.forward(x, train=train)
 
     def train_backward(self, loss_grad):

@@ -44,7 +44,7 @@ def collect_grads(chain, x0, loss_weights):
     """Scalar loss <w, x_N>: returns (input grad, flat parameter grads)."""
     for p in chain.params():
         p.zero_grad()
-    chain.clear()
+    chain.clear_cache()
     chain.forward(x0.copy(), train=True)
     gx = chain.backward(loss_weights.copy())
     pg = np.concatenate([p.grad.ravel() for p in chain.params()])
@@ -52,8 +52,7 @@ def collect_grads(chain, x0, loss_weights):
 
 
 def chain_loss(chain, x0, loss_weights):
-    out = chain.forward(x0.copy(), train=False)
-    return float((out.x * loss_weights).sum())
+    return float((chain.forward(x0.copy(), train=False) * loss_weights).sum())
 
 
 def rel_err(a, b):

@@ -329,8 +329,11 @@ def test_inconsistent_network_config_exit_code(tmp_path, capsys, network):
     (dict(batch_size=2.5), "batch_size"),
     (dict(epochs=True), "epochs"),
     (dict(lr=1, weight_decay=0, epochs=0), None),
+    (dict(network={**_seg_network(), "input_shape": [0, 16, 16]}), "input_shape"),
+    (dict(network={**_seg_network(), "input_shape": [1, "16", 16]}), "input_shape"),
+    (dict(network={**_seg_network(), "input_shape": [1, 16.0, 16]}), "input_shape"),
 ], ids=["float-num-classes", "string-n", "float-seed", "string-lr", "float-batch-size",
-        "bool-epochs", "int-for-float"])
+        "bool-epochs", "int-for-float", "zero-channels", "string-height", "float-height"])
 def test_wrong_typed_config_value_exit_code(tmp_path, capsys, overrides, named):
     cfg_path = tiny_seg_config(tmp_path, **overrides)
     code, _, err = run(["train", "--config", str(cfg_path)], capsys)

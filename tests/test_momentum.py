@@ -78,27 +78,38 @@ def test_reversible_chain_rejects_any_gamma_zero_block_at_construction():
 # chains
 
 
+def run_blocks(blocks, x0):
+    """The final state of `blocks` from x0 at zero velocity."""
+    state = MomentumState(x0, np.zeros_like(x0))
+    for block in blocks:
+        state = block.forward(state)
+    return state
+
+
 def test_chain_zero_dynamics_stationary():
     chain = MomentumChain([MomentumBlock(0.5, zero_f()) for _ in range(3)])
     out = chain.forward(np.array([[1.0]]), train=False)
-    assert out.x.item() == pytest.approx(1.0)
-    assert out.v.item() == pytest.approx(0.0)
+    assert out.item() == pytest.approx(1.0)
+    assert run_blocks(chain.blocks, np.array([[1.0]])).v.item() == pytest.approx(0.0)
 
 
 def test_chain_gamma_zero_doubles():
     chain = MomentumChain([MomentumBlock(0.0, scaled_identity_f()) for _ in range(2)])
     out = chain.forward(np.array([[1.0]]), train=False)
-    assert out.x.item() == pytest.approx(4.0)
+    assert out.item() == pytest.approx(4.0)
 
 
 def test_chain_modes_agree_bitwise():
     x0 = rng(31).normal(size=(1, 2, 4, 4))
-    finals = []
-    for mode in (STORED, REVERSIBLE):
-        blocks = [MomentumBlock(0.9, conv_f(40 + j)) for j in range(10)]
-        finals.append(MomentumChain(blocks, mode).forward(x0.copy(), train=True))
-    assert np.array_equal(finals[0].x, finals[1].x)
-    assert np.array_equal(finals[0].v, finals[1].v)
+    stored, rev = (MomentumChain([MomentumBlock(0.9, conv_f(40 + j)) for j in range(10)], mode)
+                   for mode in (STORED, REVERSIBLE))
+    x_stored = stored.forward(x0.copy(), train=True)
+    x_rev = rev.forward(x0.copy(), train=True)
+    assert np.array_equal(x_stored, x_rev)
+    final = run_blocks(stored.blocks, x0)
+    assert np.array_equal(final.x, x_stored)
+    x_n, v_n = rev.cached_arrays()
+    assert x_n is x_rev and np.array_equal(v_n, final.v)
 
 
 def test_chain_backward_frozen_zero_f():
@@ -145,7 +156,7 @@ def test_stored_chain_retains_only_block_inputs():
         inputs.append(state.x)
         state = block.forward(state)
     chain.forward(x0, train=True)
-    held = chain.retained_arrays()
+    held = chain.cached_arrays()
     assert len(held) == 3 and held[0] is x0
     assert all(np.array_equal(a, x) for a, x in zip(held, inputs))
 
@@ -180,7 +191,7 @@ def test_reversible_backward_matches_invert_then_recompute_bitwise(gamma, dtype)
     gx = chain.backward(gy)
 
     ref = _conv_chain(depth, gamma, REVERSIBLE, dtype)
-    state = ref.forward(x0, train=False)
+    state = run_blocks(ref.blocks, x0)
     gx_ref, gv_ref = gy, np.zeros_like(gy)
     for block in reversed(ref.blocks):
         state = block.inverse(state)
@@ -189,6 +200,36 @@ def test_reversible_backward_matches_invert_then_recompute_bitwise(gamma, dtype)
     assert gx.dtype == dtype and np.array_equal(gx, gx_ref)
     for p, q in zip(chain.params(), ref.params()):
         assert np.array_equal(p.grad, q.grad), p.name
+
+
+@pytest.mark.parametrize("mode", [STORED, REVERSIBLE])
+def test_chain_in_a_sequential_matches_hand_chained_calls(mode):
+    def parts():
+        r = rng(20)
+        return [Conv2d(1, 2, 3, rng=r, name="in"), _conv_chain(2, 0.9, mode),
+                Conv2d(2, 1, 3, rng=r, name="out")]
+
+    x = rng(21).normal(size=(2, 1, 4, 4))
+    gy = rng(22).normal(size=(2, 1, 4, 4))
+    a, chain, b = parts()
+    y_ref = b.forward(chain.forward(a.forward(x)))
+    gx_ref = a.backward(chain.backward(b.backward(gy)))
+    seq = Sequential(parts())
+    y = seq.forward(x)
+    # the chain's two block inputs (stored) or x_n and v_n (reversible),
+    # after the input conv's input and before the output conv's
+    states, held = seq.layers[1].cached_arrays(), seq.cached_arrays()
+    assert len(states) == 2 and len(held) == 4
+    assert all(any(h is s for h in held) for s in states)
+    gx = seq.backward(gy)
+    assert np.array_equal(y, y_ref) and np.array_equal(gx, gx_ref)
+    for p, q in zip(seq.params(), a.params() + chain.params() + b.params()):
+        assert np.array_equal(p.grad, q.grad), p.name
+    seq.forward(x)
+    f = seq.layers[1].blocks[0].f
+    f.forward(x.repeat(2, axis=1), train=True)
+    seq.clear_cache()
+    assert seq.cached_arrays() == [] and f.cache_size() == 0
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -4,8 +4,13 @@ import pytest
 from momrev import network
 from momrev.errors import ConfigError, ShapeError, StateError
 from momrev.layers import load_checkpoint
+from momrev.momentum import MomentumChain
 from momrev.verify import fd_grad, rel_err
 from util import rng
+
+
+def chains(net):
+    return [part for part in net.parts() if isinstance(part, MomentumChain)]
 
 
 def cls_descriptor(**kw):
@@ -212,8 +217,8 @@ def test_backward_frees_every_cache(make):
     assert net.memory_ledger().total > 0
     net.train_backward(np.ones_like(logits))
     assert net.memory_ledger().total == 0
-    fs = [b.f for c in net.chains() for b in c.blocks]
-    assert all(part.cache_size() == 0 for part in net.layers() + fs)
+    fs = [b.f for c in chains(net) for b in c.blocks]
+    assert all(part.cache_size() == 0 for part in net.parts() + fs)
 
 
 def test_reversible_head_input_is_counted_once():
@@ -222,8 +227,9 @@ def test_reversible_head_input_is_counted_once():
     # the skip), so the total subtracts each of those buffers once
     net = network.build(micro_seg_descriptor(), seed=9)
     net.predict(rng(10).normal(size=(2, 1, 4, 4)), train=True)
-    caches = [a for layer in net.layers() for a in layer.cached_arrays()]
-    outputs = [c.retained_arrays()[0] for c in net.chains()]
+    caches = [a for part in net.parts() if not isinstance(part, MomentumChain)
+              for a in part.cached_arrays()]
+    outputs = [c.cached_arrays()[0] for c in chains(net)]
     (head_input,) = net.head.cached_arrays()
     assert any(x is head_input for x in outputs)
     for x in outputs:
@@ -238,8 +244,9 @@ def test_stored_chain_input_is_the_relu_output_counted_once():
     desc.stages[0].mode = "stored"
     net = network.build(desc, seed=11)
     net.predict(rng(12).normal(size=(2, 1, 4, 4)), train=True)
-    relu_out = net.stem.layers[1].cached_arrays()[0]
-    assert net.stage_chains[0].retained_arrays()[0] is relu_out
+    stem, chain = net.parts()[:2]
+    relu_out = stem.layers[1].cached_arrays()[0]
+    assert chain.cached_arrays()[0] is relu_out
     ledger = net.memory_ledger()
     assert ledger.total == ledger.chain_states + ledger.transitions - relu_out.size
 
@@ -272,3 +279,6 @@ def test_descriptor_validation():
     with pytest.raises(ConfigError):
         network.NetworkDescriptor(task="classification", input_shape=(1, 8, 8),
                                   stages=[])
+    with pytest.raises(ConfigError):
+        network.NetworkDescriptor(task="classification", input_shape=(1, True, 8),
+                                  stages=[dict(width=2, blocks=1)])
