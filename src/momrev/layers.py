@@ -122,7 +122,9 @@ class Linear(Layer):
 
 class Conv2d(Layer):
     """Same-padded, stride-1 k x k convolution (k odd): B x C_in x H x W ->
-    B x C_out x H x W. See `tensor.conv2d_batched`."""
+    B x C_out x H x W. See `tensor.conv2d_batched`. Backward's input gradient
+    is that same kernel run on the output gradient with the weights flipped
+    in space and their channel axes swapped."""
 
     def __init__(self, c_in, c_out, k, *, rng, init="xavier", dtype=np.float64,
                  name="conv"):
@@ -151,12 +153,8 @@ class Conv2d(Layer):
         co, ci, kh, kw = self.w.value.shape
         b, _, h, w = gy.shape
         p = kh // 2
-        # weight grads, then input grads: each pass holds one copy of gy,
-        # and the taps accumulate in the same order as one joint loop. Both use
-        # the forward's rows (tensor.flat_padded): offset (i, j) starts at i*W' + j
-        xf, hp, wp = tensor.flat_padded(x, kh)
-        n = b * hp * wp
-        xp = xf[:n].reshape(b, hp, wp, ci)
+        xp = np.zeros((b, h + 2 * p, w + 2 * p, ci), dtype=x.dtype)  # channels-last, padded
+        xp[:, p : p + h, p : p + w] = x.transpose(0, 2, 3, 1)
         gy_by_channel = gy.transpose(1, 0, 2, 3).reshape(co, -1)
         for i in range(kh):
             for j in range(kw):
@@ -165,26 +163,14 @@ class Conv2d(Layer):
                     gy_by_channel, xp[:, i : i + h, j : j + w].reshape(-1, ci)
                 )
         del xp, gy_by_channel
-        gxf = xf  # the input gradient has the input's rows: reuse the buffer
-        gxf[...] = 0
-        # gy sits on the padded grid at the output anchors, zero elsewhere, so
-        # each offset's contribution is one contiguous add. Half the batch at a
-        # time halves that grid and its products, which set a train step's peak
-        # memory; a half's slices reach past its images only with zero rows.
-        for lo, hi in ((0, b // 2), (b // 2, b)):
-            gy_rows = np.zeros((hi - lo, hp, wp, co), dtype=gy.dtype)
-            gy_rows[:, :h, :w, :] = gy[lo:hi].transpose(0, 2, 3, 1)
-            gy_rows = gy_rows.reshape(-1, co)
-            for i in range(kh):
-                for j in range(kw):
-                    off = lo * hp * wp + i * wp + j
-                    gxf[off : off + len(gy_rows)] += np.dot(gy_rows, self.w.value[:, :, i, j])
-        del gy_rows
         self.b.grad += gy.sum(axis=(0, 2, 3))
-        # copy only the interior: the result owns B*C*H*W values and does not
-        # keep the padded grid alive
-        gx = gxf[:n].reshape(b, hp, wp, ci)[:, p : p + h, p : p + w]
-        return gx.transpose(0, 3, 1, 2).copy()
+        # the input gradient is the same conv on gy with the kernel flipped in
+        # space and its channel axes swapped. Half the batch at a time halves
+        # the padded grid and its products, which set a train step's peak memory
+        w_t = self.w.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        return np.concatenate(
+            [tensor.conv2d_batched(half, w_t) for half in (gy[: b // 2], gy[b // 2 :])]
+        )
 
 
 class ReLU(Layer):

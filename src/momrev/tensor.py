@@ -2,12 +2,14 @@
 
 Tensors are plain numpy arrays (row-major, channels-first for images).
 float64 is the verification default; float32 is used for training speed.
-This module holds the convolution kernel that layers.Conv2d runs on and
-tensor serialization. Every convolution the networks build is stride 1 and
-same-padded (an odd k x k kernel padded by k // 2), so the output keeps the
-input's H x W; only MaxPool2 and Upsample2 change sizes. The kernel works on
-one flat padded buffer (`flat_padded`) in which each kernel offset is a
-contiguous row slice, so the forward and the input gradient copy no patches.
+This module holds the convolution kernel and tensor serialization. The one
+kernel serves layers.Conv2d's forward and its input gradient, which is the
+same convolution on the output gradient with a flipped, transposed kernel.
+Every convolution the networks build is stride 1 and same-padded (an odd
+k x k kernel padded by k // 2), so the output keeps the input's H x W; only
+MaxPool2 and Upsample2 change sizes. The kernel works on one flat padded
+buffer (`_flat_padded`) in which each kernel offset is a contiguous row
+slice, so it copies no patches.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ _MAGIC = b"MRT1"
 def conv2d_batched(inp: Tensor, kernels: Tensor) -> Tensor:
     """Same-padded, stride-1 cross-correlation, B x C_in x H x W -> B x C_out x H x W.
 
-    The kernel is k x k with k odd, padded by k // 2 on every side. One
-    matrix product per kernel offset over the whole padded grid (see
-    `flat_padded`): output row r of the grid sums, over offsets (i, j), row
-    r + i*W' + j of the input times that offset's kernel. Rows anchored in
-    the padding are then dropped.
+    The kernel is k x k with k odd, padded by k // 2 on every side. It is
+    `Conv2d`'s forward, and with the kernel flipped in space and its channel
+    axes swapped, `Conv2d`'s input gradient. One matrix product per kernel
+    offset over the whole padded grid (see `_flat_padded`): output row r of
+    the grid sums, over offsets (i, j), row r + i*W' + j of the input times
+    that offset's kernel. Rows anchored in the padding are then dropped.
     """
     if inp.ndim != 4:
         raise ShapeError(f"conv2d expects B x C x H x W input, got shape {inp.shape}")
@@ -43,7 +46,7 @@ def conv2d_batched(inp: Tensor, kernels: Tensor) -> Tensor:
         raise ShapeError(f"conv2d channel mismatch: input {c_in}, kernels {kc}")
     if kh != kw or kh % 2 == 0:
         raise ShapeError(f"conv2d needs an odd square kernel, got {kh}x{kw}")
-    xf, hp, wp = flat_padded(inp, kh)
+    xf, hp, wp = _flat_padded(inp, kh)
     n = b * hp * wp
     out = np.zeros((n, c_out), dtype=inp.dtype)
     for i in range(kh):
@@ -56,7 +59,7 @@ def conv2d_batched(inp: Tensor, kernels: Tensor) -> Tensor:
     return out.transpose(0, 3, 1, 2).copy()
 
 
-def flat_padded(inp: Tensor, k: int):
+def _flat_padded(inp: Tensor, k: int):
     """B x C x H x W -> ((B*H'*W' + tail) x C rows, H', W'): the input padded
     by p = k // 2 on every side, channels-last, flattened over (B, H', W').
 
@@ -94,12 +97,16 @@ def deserialize_mrt1(buf: bytes, offset: int = 0):
     """Parse one MRT1 tensor; returns (array, bytes consumed)."""
     if buf[offset : offset + 4] != _MAGIC:
         raise DataError("bad MRT1 magic")
+    if len(buf) < offset + 6:
+        raise DataError("truncated MRT1 header")
     code, rank = struct.unpack_from("<BB", buf, offset + 4)
     if code not in _CODE_DTYPES:
         raise DataError(f"unknown MRT1 dtype code {code}")
+    start = offset + 6 + 4 * rank
+    if len(buf) < start:
+        raise DataError("truncated MRT1 header")
     shape = struct.unpack_from(f"<{rank}I", buf, offset + 6)
     dt = _CODE_DTYPES[code]
-    start = offset + 6 + 4 * rank
     count = int(np.prod(shape, dtype=np.int64)) if rank else 1
     nbytes = count * dt.itemsize
     data = np.frombuffer(buf[start : start + nbytes], dtype=dt)

@@ -37,8 +37,25 @@ def tiny_seg_config(tmp_path, **overrides):
     return path
 
 
+def _stage(**extra):
+    return dict(width=4, blocks=1, **extra)
+
+
+def _seg_network(**stage):
+    return dict(task="segmentation", input_shape=[1, 16, 16], stages=[{**_stage(), **stage}])
+
+
 def test_train_writes_run_artifacts(tmp_path, capsys):
-    cfg_path = tiny_seg_config(tmp_path)
+    check_run_artifacts(tmp_path, capsys, tiny_seg_config(tmp_path))
+
+
+def test_train_plain_residual_writes_run_artifacts(tmp_path, capsys):
+    """A gamma=0 stored network (the plain-residual control) trains end to end."""
+    cfg_path = tiny_seg_config(tmp_path, network=_seg_network(gamma=0.0, mode="stored"))
+    check_run_artifacts(tmp_path, capsys, cfg_path)
+
+
+def check_run_artifacts(tmp_path, capsys, cfg_path):
     code, out, _ = run(["train", "--config", str(cfg_path)], capsys)
     assert code == 0
     run_dir = tmp_path / "run"
@@ -234,6 +251,19 @@ def test_eval_missing_checkpoint_exit_code(tmp_path, capsys, monkeypatch):
     assert err.startswith("data error:") and len(err.splitlines()) == 1
 
 
+def test_eval_truncated_checkpoint_exit_code(tmp_path, capsys):
+    cfg_path = tiny_seg_config(tmp_path, epochs=0)
+    assert run(["train", "--config", str(cfg_path)], capsys)[0] == 0
+    ckpt = tmp_path / "run" / "checkpoint"
+    manifest = json.loads(ckpt.with_suffix(".json").read_text())
+    cut = manifest[next(iter(manifest))]["offset"] + 8  # inside the first record's shape
+    blob = ckpt.with_suffix(".bin")
+    blob.write_bytes(blob.read_bytes()[:cut])
+    code, _, err = run(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)], capsys)
+    assert code == 3
+    assert err.startswith("data error:") and len(err.splitlines()) == 1
+
+
 def test_memprofile_bad_depths_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["memprofile", "--depths", "x"])
@@ -290,14 +320,6 @@ def test_unknown_hd_variant_config_exit_code(tmp_path, capsys):
     assert err.startswith("config error:") and len(err.splitlines()) == 1
     assert "hd_variant" in err
     assert not (tmp_path / "run").exists()
-
-
-def _stage(**extra):
-    return dict(width=4, blocks=1, **extra)
-
-
-def _seg_network(**stage):
-    return dict(task="segmentation", input_shape=[1, 16, 16], stages=[{**_stage(), **stage}])
 
 
 @pytest.mark.parametrize("network", [

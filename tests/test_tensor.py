@@ -55,7 +55,7 @@ def test_conv2d_impulse_response():
 def draw_geometry(r):
     """Batch, channels, an odd k and H x W for a same-padded conv; H or W
     may be smaller than k."""
-    batch = int(r.integers(1, 3))
+    batch = int(r.integers(1, 4))  # 3 splits into unequal halves in backward
     c_in = int(r.integers(1, 4))
     c_out = int(r.integers(1, 4))
     k = int(r.choice([1, 3, 5]))
@@ -98,19 +98,23 @@ def conv2d_backward_bruteforce(inp, kernels, gy, stride, padding):
 
 
 def test_conv2d_backward_matches_bruteforce():
+    """float64 to 1e-12; float32, the dtype training runs in, to 1e-5 of
+    the float64 oracle on the same values."""
     for seed in range(25):
-        r = rng(seed)
-        batch, c_in, c_out, k, h, w = draw_geometry(r)
-        conv = layers.Conv2d(c_in, c_out, k, rng=r)
-        inp = r.normal(size=(batch, c_in, h, w))
-        gy = r.normal(size=conv.forward(inp).shape)
-        gx = conv.backward(gy)
-        want = [conv2d_backward_bruteforce(x, conv.w.value, g, 1, k // 2)
-                for x, g in zip(inp, gy)]
-        assert gx.shape == inp.shape
-        assert np.allclose(gx, np.stack([g for g, _ in want]), rtol=1e-12, atol=1e-12)
-        assert np.allclose(conv.w.grad, sum(g for _, g in want), rtol=1e-12, atol=1e-12)
-        assert np.allclose(conv.b.grad, gy.sum(axis=(0, 2, 3)), rtol=1e-12, atol=1e-12)
+        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            r = rng(seed)
+            batch, c_in, c_out, k, h, w = draw_geometry(r)
+            conv = layers.Conv2d(c_in, c_out, k, rng=r, dtype=dtype)
+            inp = r.normal(size=(batch, c_in, h, w)).astype(dtype)
+            gy = r.normal(size=conv.forward(inp).shape).astype(dtype)
+            gx = conv.backward(gy)
+            want = [conv2d_backward_bruteforce(x, conv.w.value.astype(np.float64), g, 1, k // 2)
+                    for x, g in zip(inp.astype(np.float64), gy.astype(np.float64))]
+            assert gx.shape == inp.shape and gx.dtype == dtype
+            assert np.allclose(gx, np.stack([g for g, _ in want]), rtol=tol, atol=tol)
+            assert np.allclose(conv.w.grad, sum(g for _, g in want), rtol=tol, atol=tol)
+            assert np.allclose(conv.b.grad, gy.astype(np.float64).sum(axis=(0, 2, 3)),
+                               rtol=tol, atol=tol)
 
 
 @pytest.mark.parametrize("kh, kw", [(2, 2), (3, 1)])
@@ -156,3 +160,10 @@ def test_mrt1_header_layout(tmp_path):
 def test_mrt1_bad_magic():
     with pytest.raises(DataError):
         tensor.deserialize_mrt1(b"NOPE" + bytes(16))
+
+
+@pytest.mark.parametrize("cut", [5, 8], ids=["dtype-rank-bytes", "shape"])
+def test_mrt1_truncated_header(cut):
+    blob = tensor.serialize_mrt1(np.zeros((2, 3)))
+    with pytest.raises(DataError, match="truncated MRT1 header"):
+        tensor.deserialize_mrt1(blob[:cut])
