@@ -384,8 +384,11 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     out = {}
     for name, entry in manifest.items():
-        arr, _ = tensor.deserialize_mrt1(blob, entry["offset"])
-        out[name] = arr
+        try:
+            out[name], _ = tensor.deserialize_mrt1(blob, entry["offset"])
+        except DataError as exc:
+            raise DataError(f"checkpoint {path.with_suffix('.bin')}, parameter {name!r}: "
+                            f"{exc}") from exc
     return out
 
 

@@ -29,8 +29,10 @@ StateError before any gradient moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from numbers import Integral, Real
+from typing import get_type_hints
 
 import numpy as np
 
@@ -53,17 +55,26 @@ from .layers import (
 from .momentum import REVERSIBLE, STORED, MomentumChain, build_chain
 
 
+def check_field_types(cfg, prefix=""):
+    """Raise ConfigError for a field of the dataclass `cfg` whose value does
+    not fit its annotation. A bool is not an int, an int is a float, and a
+    float must be finite."""
+    hints = get_type_hints(type(cfg))
+    for f in fields(cfg):
+        hint, value = hints[f.name], getattr(cfg, f.name)
+        fits = isinstance(value, {int: Integral, float: Real}.get(hint, hint))
+        if isinstance(value, bool) or not fits or (
+                isinstance(value, float) and not math.isfinite(value)):
+            want = "a finite float" if hint is float else f.type
+            raise ConfigError(f"{prefix}{f.name}: must be {want}, got {value!r}")
+
+
 @dataclass
 class StageSpec:
     width: int
     blocks: int
     gamma: float = 0.9
     mode: str = "reversible"
-
-
-def _is_count(v) -> bool:
-    """An integer >= 1; a bool is not one."""
-    return isinstance(v, Integral) and not isinstance(v, bool) and v >= 1
 
 
 @dataclass
@@ -76,24 +87,22 @@ class NetworkDescriptor:
     def __post_init__(self):
         self.input_shape = tuple(self.input_shape)
         self.stages = [s if isinstance(s, StageSpec) else StageSpec(**s) for s in self.stages]
+        check_field_types(self)
         if self.task not in ("classification", "segmentation"):
-            raise ConfigError(f"unknown task {self.task!r}")
-        if len(self.input_shape) != 3:
-            raise ConfigError(f"input_shape must be (C,H,W), got {self.input_shape}")
-        if not all(map(_is_count, self.input_shape)):
-            raise ConfigError(f"input_shape: entries must be integers >= 1, "
+            raise ConfigError(f"task: unknown value {self.task!r}")
+        if len(self.input_shape) != 3 or not all(
+                isinstance(v, Integral) and not isinstance(v, bool) and v >= 1
+                for v in self.input_shape):
+            raise ConfigError(f"input_shape: must be (C, H, W), integers >= 1, "
                               f"got {list(self.input_shape)!r}")
         if not self.stages:
-            raise ConfigError("at least one stage is required")
+            raise ConfigError("stages: at least one stage is required")
         for i, s in enumerate(self.stages):
-            for key in ("width", "blocks"):
-                v = getattr(s, key)
-                if not _is_count(v):
-                    raise ConfigError(f"stages[{i}].{key}: must be an integer >= 1, got {v!r}")
-            real = isinstance(s.gamma, Real) and not isinstance(s.gamma, bool)
-            if not (real and 0.0 <= s.gamma <= 1.0):
-                raise ConfigError(f"stages[{i}].gamma: must be a number in [0, 1], "
-                                  f"got {s.gamma!r}")
+            check_field_types(s, f"stages[{i}].")
+            if min(s.width, s.blocks) < 1:
+                raise ConfigError(f"stages[{i}]: width and blocks must be >= 1, got {s}")
+            if not 0.0 <= s.gamma <= 1.0:
+                raise ConfigError(f"stages[{i}].gamma: must be in [0, 1], got {s.gamma!r}")
             if s.mode not in (STORED, REVERSIBLE):
                 raise ConfigError(f"stages[{i}].mode: must be {STORED!r} or {REVERSIBLE!r}, "
                                   f"got {s.mode!r}")
@@ -103,11 +112,8 @@ class NetworkDescriptor:
             raise ConfigError(
                 f"spatial dims {h}x{w} not divisible by the {factor}x pooling factor"
             )
-        k = self.num_classes
-        if isinstance(k, bool) or not isinstance(k, Integral):
-            raise ConfigError(f"num_classes: must be an integer, got {k!r}")
-        if self.task == "classification" and k < 2:
-            raise ConfigError("classification needs num_classes >= 2")
+        if self.task == "classification" and self.num_classes < 2:
+            raise ConfigError("num_classes: classification needs num_classes >= 2")
 
 
 @dataclass

@@ -4,8 +4,8 @@ per-epoch CSV logging, and split evaluation."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
-from numbers import Integral, Real
+from dataclasses import asdict, dataclass, field
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -23,17 +23,6 @@ from .optim import Adam, EarlyStopper
 SPLIT_SEED = 7
 
 
-def _check_field_types(cfg, prefix=""):
-    """Raise ConfigError for a field whose value does not fit its annotation.
-    A bool is not an int, and an int is a float."""
-    kinds = {"int": Integral, "float": Real, "str": str, "dict": dict,
-             "str | None": (str, type(None)), "DataConfig": DataConfig}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, bool) or not isinstance(value, kinds[f.type]):
-            raise ConfigError(f"{prefix}{f.name}: must be {f.type}, got {value!r}")
-
-
 @dataclass
 class DataConfig:
     generator: str = "shapes"  # shapes | blobs | dir
@@ -43,7 +32,7 @@ class DataConfig:
     path: str | None = None
 
     def __post_init__(self):
-        _check_field_types(self, "data.")
+        network_mod.check_field_types(self, "data.")
 
 
 @dataclass
@@ -68,26 +57,29 @@ class TrainConfig:
     def __post_init__(self):
         if isinstance(self.data, dict):
             self.data = DataConfig(**self.data)
-        _check_field_types(self)
-        if self.task not in ("segmentation", "classification"):
-            raise ConfigError(f"task: unknown value {self.task!r}")
+        network_mod.check_field_types(self)
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype: must be float32/float64, got {self.dtype!r}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+        if self.lr <= 0:
+            raise ConfigError(f"lr: must be > 0, got {self.lr!r}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay: must be >= 0, got {self.weight_decay!r}")
         if self.hd_variant not in metrics_mod.HD_VARIANTS:
             raise ConfigError(f"hd_variant: must be one of {metrics_mod.HD_VARIANTS}, "
                               f"got {self.hd_variant!r}")
+        net_task = self.descriptor().task
+        if net_task != self.task:
+            raise ConfigError(f"network: task {net_task!r} under a {self.task} run")
 
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
 
     def descriptor(self) -> network_mod.NetworkDescriptor:
-        if not self.network:
-            raise ConfigError("network: descriptor is required")
         try:
             return network_mod.NetworkDescriptor(**self.network)
-        except TypeError as exc:  # unknown key in network or in a stage
+        except TypeError as exc:  # unknown or missing key in network or in a stage
             raise ConfigError(f"network: {exc}") from exc
 
     def to_json(self) -> str:
@@ -233,8 +225,6 @@ def train(cfg: TrainConfig):
     """
     dtype = cfg.np_dtype()
     descriptor = cfg.descriptor()
-    if descriptor.task != cfg.task:
-        raise ConfigError(f"network: task {descriptor.task!r} under a {cfg.task} run")
     net = network_mod.build(descriptor, seed=cfg.seed, dtype=dtype)
     manifest, sets = load_splits(cfg)
     train_set, val_set, test_set = sets["train"], sets["val"], sets["test"]

@@ -262,6 +262,7 @@ def test_eval_truncated_checkpoint_exit_code(tmp_path, capsys):
     code, _, err = run(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)], capsys)
     assert code == 3
     assert err.startswith("data error:") and len(err.splitlines()) == 1
+    assert str(blob) in err and repr(next(iter(manifest))) in err
 
 
 def test_memprofile_bad_depths_usage_error(capsys):
@@ -292,8 +293,10 @@ def test_memprofile_gamma_zero_stored_config(tmp_path, capsys):
         ["1", "stored"], ["2", "stored"]]
 
 
-@pytest.mark.parametrize("flags", [["--batch-size", "0"], ["--epochs", "-2"]],
-                         ids=["batch-size", "epochs"])
+# argparse reads "-1e-3" after a space as a flag, hence "--lr=-1e-3"
+@pytest.mark.parametrize("flags", [["--batch-size", "0"], ["--epochs", "-2"], ["--lr", "nan"],
+                                   ["--lr=-1e-3"]],
+                         ids=["batch-size", "epochs", "lr-nan", "lr-negative"])
 def test_invalid_flag_override_exit_code(tmp_path, capsys, flags):
     out_dir = tmp_path / "run"
     code, _, err = run(["train", "--preset", "classification", *flags,
@@ -354,8 +357,13 @@ def test_inconsistent_network_config_exit_code(tmp_path, capsys, network):
     (dict(network={**_seg_network(), "input_shape": [0, 16, 16]}), "input_shape"),
     (dict(network={**_seg_network(), "input_shape": [1, "16", 16]}), "input_shape"),
     (dict(network={**_seg_network(), "input_shape": [1, 16.0, 16]}), "input_shape"),
+    (dict(lr=float("nan")), "lr"),
+    (dict(lr=-0.01), "lr"),
+    (dict(weight_decay=-1.0), "weight_decay"),
+    (dict(dice_smooth=float("inf")), "dice_smooth"),
 ], ids=["float-num-classes", "string-n", "float-seed", "string-lr", "float-batch-size",
-        "bool-epochs", "int-for-float", "zero-channels", "string-height", "float-height"])
+        "bool-epochs", "int-for-float", "zero-channels", "string-height", "float-height",
+        "nan-lr", "negative-lr", "negative-weight-decay", "inf-dice-smooth"])
 def test_wrong_typed_config_value_exit_code(tmp_path, capsys, overrides, named):
     cfg_path = tiny_seg_config(tmp_path, **overrides)
     code, _, err = run(["train", "--config", str(cfg_path)], capsys)
@@ -365,6 +373,16 @@ def test_wrong_typed_config_value_exit_code(tmp_path, capsys, overrides, named):
     assert code == 2
     assert err.startswith(f"config error: {named}:") and len(err.splitlines()) == 1
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", [["eval", "--checkpoint", "nowhere"],
+                                     ["memprofile", "--depths", "1"]], ids=["eval", "memprofile"])
+def test_network_of_another_task_exit_code(tmp_path, capsys, command):
+    cfg_path = tiny_seg_config(tmp_path, network=dict(
+        task="classification", input_shape=[1, 16, 16], stages=[_stage()]))
+    code, out, err = run([command[0], "--config", str(cfg_path), *command[1:]], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error: network:") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("defaults, data, num_classes", [
