@@ -136,21 +136,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON training config")
         p.add_argument("--preset", choices=["segmentation", "classification"])
 
-    def add_config_flags(p):
+    def add_run_flags(p):
         add_source_flags(p)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--epochs", type=int)
         p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--patience", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--out")
 
     p_train = sub.add_parser("train", help="train a network from a config")
-    add_config_flags(p_train)
+    add_run_flags(p_train)
+    p_train.add_argument("--lr", type=float)
+    p_train.add_argument("--epochs", type=int)
+    p_train.add_argument("--patience", type=int)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
-    add_config_flags(p_eval)
+    add_run_flags(p_eval)
     p_eval.add_argument("--checkpoint", required=True,
                         help="checkpoint path prefix (without .bin/.json)")
     p_eval.add_argument("--split", choices=["train", "val", "test"], default="test")

@@ -375,30 +375,33 @@ def _replace_file(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def load_checkpoint(path) -> dict[str, np.ndarray]:
+def load_checkpoint(path, params: list[Param]) -> None:
+    """Give each parameter the record its name maps to in the manifest.
+    An unreadable or malformed manifest or record is a DataError; a
+    parameter the checkpoint lacks, or one of another shape, a ConfigError."""
     path = Path(path)
+    manifest_path, blob_path = path.with_suffix(".json"), path.with_suffix(".bin")
     try:
-        manifest = json.loads(path.with_suffix(".json").read_text())
-        blob = path.with_suffix(".bin").read_bytes()
+        manifest = json.loads(manifest_path.read_text())
+        blob = blob_path.read_bytes()
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    out = {}
-    for name, entry in manifest.items():
-        try:
-            out[name], _ = tensor.deserialize_mrt1(blob, entry["offset"])
-        except DataError as exc:
-            raise DataError(f"checkpoint {path.with_suffix('.bin')}, parameter {name!r}: "
-                            f"{exc}") from exc
-    return out
-
-
-def assign_checkpoint(params: list[Param], values: dict[str, np.ndarray]) -> None:
+    if not isinstance(manifest, dict):
+        raise DataError(f"checkpoint {manifest_path}: manifest is not an object")
     for p in params:
-        if p.name not in values:
+        if p.name not in manifest:
             raise ConfigError(f"checkpoint missing parameter {p.name!r}")
-        v = values[p.name]
-        if tuple(v.shape) != tuple(p.value.shape):
+        entry = manifest[p.name]
+        offset = entry.get("offset") if isinstance(entry, dict) else None
+        if not isinstance(offset, int) or isinstance(offset, bool) or offset < 0:
+            raise DataError(f"checkpoint {manifest_path}, parameter {p.name!r}: "
+                            f"entry needs an int offset >= 0, got {entry!r}")
+        try:
+            v, _ = tensor.deserialize_mrt1(blob, offset)
+        except DataError as exc:
+            raise DataError(f"checkpoint {blob_path}, parameter {p.name!r}: {exc}") from exc
+        if v.shape != p.value.shape:
             raise ConfigError(
                 f"checkpoint shape mismatch for {p.name!r}: {v.shape} vs {p.value.shape}"
             )
-        p.value[...] = v.astype(p.value.dtype)
+        p.value[...] = v

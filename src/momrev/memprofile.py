@@ -21,7 +21,9 @@ rebuilt at each chain depth in both modes (stored only when a stage has
 gamma = 0, which cannot invert), on a batch of the run's size and dtype,
 next to `peak_bytes`: the `tracemalloc` peak over that forward and
 backward, in real bytes, transients and gradients included (the batch and
-the parameters are allocated before it starts).
+the parameters are allocated before it starts, and one untraced forward
+and backward on the first network runs before the first window, so the
+process's one-time allocations do not land in the first row).
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ def compare_modes(descriptor: network_mod.NetworkDescriptor, batch: np.ndarray,
                       for s in descriptor.stages]
             desc = dataclasses.replace(descriptor, stages=stages)
             net = network_mod.build(desc, seed=0, dtype=batch.dtype)
+            if not rows:  # warm-up: one-time allocations stay out of the first row
+                profile_forward(net, batch)
             tracemalloc.start()
             try:
                 ledger = profile_forward(net, batch)

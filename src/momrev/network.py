@@ -47,7 +47,6 @@ from .layers import (
     ReLU,
     Sequential,
     UpConv2d,
-    assign_checkpoint,
     distinct_scalars,
     load_checkpoint,
     save_checkpoint,
@@ -106,6 +105,9 @@ class NetworkDescriptor:
             if s.mode not in (STORED, REVERSIBLE):
                 raise ConfigError(f"stages[{i}].mode: must be {STORED!r} or {REVERSIBLE!r}, "
                                   f"got {s.mode!r}")
+            if s.mode == REVERSIBLE and s.gamma == 0.0:
+                raise ConfigError(f"stages[{i}].mode: {REVERSIBLE!r} needs gamma > 0, "
+                                  f"got gamma {s.gamma!r}")
         _, h, w = self.input_shape
         factor = 2 ** (len(self.stages) - 1)
         if h % factor or w % factor:
@@ -161,7 +163,8 @@ def _expand(layers) -> list[Layer]:
 
 class Network:
     """Shared plumbing over `body`, the `Sequential` a subclass builds:
-    parameter registry, checkpoints, cache audit."""
+    forward and backward, parameters in the order the body registers them,
+    checkpoints, cache audit."""
 
     def __init__(self, descriptor: NetworkDescriptor):
         self.descriptor = descriptor
@@ -172,13 +175,7 @@ class Network:
         return _expand(self.body.layers)
 
     def params(self):
-        # chains first: the order the checkpoint stores the parameters in
-        parts = sorted(self.parts(), key=lambda part: not isinstance(part, MomentumChain))
-        out = [p for part in parts for p in part.params()]
-        names = [p.name for p in out]
-        if len(names) != len(set(names)):
-            raise ConfigError("duplicate parameter registration")
-        return out
+        return self.body.params()
 
     def zero_grad(self):
         for p in self.params():
@@ -188,11 +185,7 @@ class Network:
         save_checkpoint(path, self.params())
 
     def load(self, path):
-        assign_checkpoint(self.params(), load_checkpoint(path))
-
-    def clear_caches(self):
-        for part in self.parts():
-            part.clear_cache()
+        load_checkpoint(path, self.params())
 
     def memory_ledger(self) -> MemoryLedger:
         """Scalars held right now for a pending train-mode backward."""
@@ -208,11 +201,16 @@ class Network:
             total=distinct_scalars(states + caches),
         )
 
-    def _check_batch(self, batch):
+    def predict(self, batch, train=False):
         if batch.ndim != 4 or batch.shape[1:] != self.descriptor.input_shape:
             raise ShapeError(
                 f"batch shape {batch.shape} does not match B x {self.descriptor.input_shape}"
             )
+        self.body.clear_cache()
+        return self.body.forward(batch, train=train)
+
+    def train_backward(self, loss_grad):
+        return self.body.backward(loss_grad)
 
 
 class ClassifierNet(Network):
@@ -237,14 +235,6 @@ class ClassifierNet(Network):
              Linear(stages[-1].width, descriptor.num_classes, rng=rng, dtype=dtype,
                     name="head.fc")]))
         self.body = Sequential(parts)
-
-    def predict(self, batch, train=False):
-        self._check_batch(batch)
-        self.clear_caches()
-        return self.body.forward(batch, train=train)
-
-    def train_backward(self, loss_grad):
-        return self.body.backward(loss_grad)
 
 
 class SegmenterNet(Network):
@@ -279,14 +269,6 @@ class SegmenterNet(Network):
              level(0),
              Conv2d(stages[0].width, 1, 1, rng=rng, init="xavier", dtype=dtype,
                     name="head.conv")])
-
-    def predict(self, batch, train=False):
-        self._check_batch(batch)
-        self.clear_caches()
-        return self.body.forward(batch, train=train)
-
-    def train_backward(self, loss_grad):
-        return self.body.backward(loss_grad)
 
 
 def build(descriptor: NetworkDescriptor, seed: int, dtype=np.float64) -> Network:

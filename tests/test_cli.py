@@ -265,6 +265,40 @@ def test_eval_truncated_checkpoint_exit_code(tmp_path, capsys):
     assert str(blob) in err and repr(next(iter(manifest))) in err
 
 
+# each edit breaks the manifest's first entry, or the manifest itself
+MANIFEST_EDITS = {
+    "no-offset": lambda m, k: {**m, k: {f: v for f, v in m[k].items() if f != "offset"}},
+    "string-offset": lambda m, k: {**m, k: {**m[k], "offset": str(m[k]["offset"])}},
+    "negative-offset": lambda m, k: {**m, k: {**m[k], "offset": -1}},
+    "entry-not-object": lambda m, k: {**m, k: list(m[k].values())},
+    "manifest-not-object": lambda m, k: list(m.values()),
+}
+
+
+@pytest.mark.parametrize("edit", MANIFEST_EDITS.values(), ids=MANIFEST_EDITS.keys())
+def test_eval_malformed_manifest_exit_code(tmp_path, capsys, edit):
+    cfg_path = tiny_seg_config(tmp_path, epochs=0)
+    assert run(["train", "--config", str(cfg_path)], capsys)[0] == 0
+    ckpt = tmp_path / "run" / "checkpoint"
+    manifest_path = ckpt.with_suffix(".json")
+    manifest = json.loads(manifest_path.read_text())
+    manifest_path.write_text(json.dumps(edit(manifest, next(iter(manifest)))))
+    code, out, err = run(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)],
+                         capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("data error:") and len(err.splitlines()) == 1
+    assert str(manifest_path) in err
+
+
+def test_eval_training_flag_usage_error(tmp_path, capsys):
+    for flag in ("--lr", "--epochs", "--patience"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--preset", "classification", flag, "1",
+                      "--checkpoint", str(tmp_path / "ck")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
 def test_memprofile_bad_depths_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["memprofile", "--depths", "x"])
@@ -307,13 +341,14 @@ def test_invalid_flag_override_exit_code(tmp_path, capsys, flags):
 
 
 def test_reversible_gamma_zero_config_exit_code(tmp_path, capsys):
-    cfg_path = tiny_seg_config(tmp_path, network=dict(
-        task="segmentation", input_shape=[1, 16, 16],
-        stages=[dict(width=4, blocks=1, gamma=0.0, mode="reversible")]))
-    code, _, err = run(["train", "--config", str(cfg_path)], capsys)
-    assert code == 2
-    assert err.startswith("config error:")
-    assert not (tmp_path / "run").exists()
+    # every command that loads the config refuses it, naming the stage
+    cfg_path = tiny_seg_config(tmp_path, network=_seg_network(gamma=0.0, mode="reversible"))
+    for command in (["train"], ["eval", "--checkpoint", "nowhere"],
+                    ["memprofile", "--depths", "1"]):
+        code, out, err = run([command[0], "--config", str(cfg_path), *command[1:]], capsys)
+        assert code == 2 and out == "", command
+        assert err.startswith("config error: stages[0].mode:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
 
 
 def test_unknown_hd_variant_config_exit_code(tmp_path, capsys):

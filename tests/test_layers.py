@@ -220,15 +220,12 @@ def test_checkpoint_roundtrip(tmp_path):
     lin = layers.Linear(4, 2, rng=r, name="l")
     params = conv.params() + lin.params()
     layers.save_checkpoint(tmp_path / "ckpt", params)
-    loaded = layers.load_checkpoint(tmp_path / "ckpt")
-    assert set(loaded) == {p.name for p in params}
-    for p in params:
-        assert np.array_equal(loaded[p.name], p.value)
-    # round-trip through assign
     conv2 = layers.Conv2d(2, 3, 3, rng=rng(7), name="c")
     lin2 = layers.Linear(4, 2, rng=rng(7), name="l")
-    layers.assign_checkpoint(conv2.params() + lin2.params(), loaded)
-    assert np.array_equal(conv2.w.value, conv.w.value)
+    loaded = conv2.params() + lin2.params()
+    layers.load_checkpoint(tmp_path / "ckpt", loaded)
+    for p, q in zip(params, loaded, strict=True):
+        assert p.name == q.name and np.array_equal(p.value, q.value)
 
 
 def test_checkpoint_shape_mismatch(tmp_path):
@@ -236,7 +233,15 @@ def test_checkpoint_shape_mismatch(tmp_path):
     layers.save_checkpoint(tmp_path / "ckpt", lin.params())
     other = layers.Linear(4, 2, rng=rng(1), name="l")
     with pytest.raises(ConfigError):
-        layers.assign_checkpoint(other.params(), layers.load_checkpoint(tmp_path / "ckpt"))
+        layers.load_checkpoint(tmp_path / "ckpt", other.params())
+
+
+def test_checkpoint_refuses_duplicate_parameter_names(tmp_path):
+    a = layers.Linear(3, 2, rng=rng(0), name="l")
+    b = layers.Linear(3, 2, rng=rng(1), name="l")
+    with pytest.raises(ConfigError, match="duplicate parameter name 'l.w'"):
+        layers.save_checkpoint(tmp_path / "ckpt", a.params() + b.params())
+    assert not list(tmp_path.iterdir())
 
 
 def test_checkpoint_survives_crash_during_write(tmp_path, monkeypatch):
@@ -259,5 +264,5 @@ def test_checkpoint_survives_crash_during_write(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert (tmp_path / "ckpt.bin").read_bytes() == before
     restored = layers.Linear(3, 2, rng=rng(1), name="l")
-    layers.assign_checkpoint(restored.params(), layers.load_checkpoint(tmp_path / "ckpt"))
+    layers.load_checkpoint(tmp_path / "ckpt", restored.params())
     assert np.array_equal(restored.w.value, saved_w)
