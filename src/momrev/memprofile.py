@@ -21,9 +21,8 @@ rebuilt at each chain depth in both modes (stored only when a stage has
 gamma = 0, which cannot invert), on a batch of the run's size and dtype,
 next to `peak_bytes`: the `tracemalloc` peak over that forward and
 backward, in real bytes, transients and gradients included (the batch and
-the parameters are allocated before it starts, and one untraced forward
-and backward on the first network runs before the first window, so the
-process's one-time allocations do not land in the first row).
+the parameters are allocated before it starts, and an untraced warm-up
+pass keeps the process's one-time allocations out of the first row).
 """
 
 from __future__ import annotations
@@ -61,15 +60,19 @@ def compare_modes(descriptor: network_mod.NetworkDescriptor, batch: np.ndarray,
     """
     invertible = all(s.gamma > 0 for s in descriptor.stages)
     modes = ("stored", "reversible") if invertible else ("stored",)
+
+    def net_for(depth, mode):
+        stages = [network_mod.StageSpec(s.width, depth, s.gamma, mode)
+                  for s in descriptor.stages]
+        desc = dataclasses.replace(descriptor, stages=stages)
+        return network_mod.build(desc, seed=0, dtype=batch.dtype)
+
+    # warm-up: the process's one-time allocations stay out of the first row
+    profile_forward(net_for(depths[0], modes[0]), batch)
     rows = []
     for depth in depths:
         for mode in modes:
-            stages = [network_mod.StageSpec(s.width, depth, s.gamma, mode)
-                      for s in descriptor.stages]
-            desc = dataclasses.replace(descriptor, stages=stages)
-            net = network_mod.build(desc, seed=0, dtype=batch.dtype)
-            if not rows:  # warm-up: one-time allocations stay out of the first row
-                profile_forward(net, batch)
+            net = net_for(depth, mode)
             tracemalloc.start()
             try:
                 ledger = profile_forward(net, batch)

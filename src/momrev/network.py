@@ -216,6 +216,10 @@ class Network:
 class ClassifierNet(Network):
     """stem -> enc0 -> down0 -> ... -> enc_{m-1} -> head, one `Sequential`."""
 
+    # bench/spans.py patches these per class through vars(cls), which does
+    # not see inherited methods, so each net binds them in its own namespace
+    predict, train_backward = Network.predict, Network.train_backward
+
     def __init__(self, descriptor, rng, dtype=np.float64):
         super().__init__(descriptor)
         c_in = descriptor.input_shape[0]
@@ -239,6 +243,8 @@ class ClassifierNet(Network):
 
 class SegmenterNet(Network):
     """stem -> level 0 -> head, one `Sequential`; level i nests level i+1."""
+
+    predict, train_backward = Network.predict, Network.train_backward  # see ClassifierNet
 
     def __init__(self, descriptor, rng, dtype=np.float64):
         super().__init__(descriptor)
