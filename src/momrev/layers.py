@@ -347,7 +347,8 @@ def build_residual_function(channels: int, rng, dtype=np.float64, name="f") -> S
 
 
 def save_checkpoint(path, params: list[Param]) -> None:
-    """Named tensors as concatenated MRT1 blobs plus a JSON manifest."""
+    """Concatenated MRT1 records, which carry shape and dtype, plus a JSON
+    manifest mapping each parameter name to its record's offset."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     blob = bytearray()
@@ -355,13 +356,8 @@ def save_checkpoint(path, params: list[Param]) -> None:
     for p in params:
         if p.name in manifest:
             raise ConfigError(f"duplicate parameter name {p.name!r}")
-        entry = tensor.serialize_mrt1(p.value)
-        manifest[p.name] = {
-            "offset": len(blob),
-            "shape": list(p.value.shape),
-            "dtype": str(np.dtype(p.value.dtype)),
-        }
-        blob += entry
+        manifest[p.name] = {"offset": len(blob)}
+        blob += tensor.serialize_mrt1(p.value)
     _replace_file(path.with_suffix(".bin"), bytes(blob))
     _replace_file(path.with_suffix(".json"),
                   json.dumps(manifest, indent=2, sort_keys=True).encode())
@@ -378,7 +374,8 @@ def _replace_file(path: Path, data: bytes) -> None:
 def load_checkpoint(path, params: list[Param]) -> None:
     """Give each parameter the record its name maps to in the manifest.
     An unreadable or malformed manifest or record is a DataError; a
-    parameter the checkpoint lacks, or one of another shape, a ConfigError."""
+    parameter the checkpoint lacks, or a record of another shape or dtype,
+    a ConfigError. Manifest keys other than `offset` are ignored."""
     path = Path(path)
     manifest_path, blob_path = path.with_suffix(".json"), path.with_suffix(".bin")
     try:
@@ -403,5 +400,9 @@ def load_checkpoint(path, params: list[Param]) -> None:
         if v.shape != p.value.shape:
             raise ConfigError(
                 f"checkpoint shape mismatch for {p.name!r}: {v.shape} vs {p.value.shape}"
+            )
+        if v.dtype != p.value.dtype:
+            raise ConfigError(
+                f"checkpoint dtype mismatch for {p.name!r}: {v.dtype} vs {p.value.dtype}"
             )
         p.value[...] = v

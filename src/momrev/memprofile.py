@@ -3,18 +3,17 @@
 A ledger counts scalars retained past the operation that produced them
 during one train-mode forward pass. A network is one list of parts, and
 the ledger splits their caches by part type: a momentum chain's cache is
-the states its mode keeps, every other part's is a transition's or the
+the states its mode holds, every other part's is a transition's or the
 head's. These caches are the only places a forward keeps activations.
 Each category counts distinct buffers, and the total counts a buffer held
 in both (a reversible chain's output that the next layer caches, a ReLU
 output that a stored chain keeps as its first state) once, so the total
 times the itemsize is what the arrays occupy. The per-block
-working set of a residual function is transient in both backward modes:
-the forward runs f in eval mode, and backward evaluates each f once, in
-train mode, on the retained block input in stored mode and inside
-`inverse` in reversible mode, and frees its caches when the block is
-done. So it is measured in backward, as a peak, separately from the
-retained total.
+working set of a residual function is transient in both modes: the
+forward runs f in eval mode, and in backward a block runs f once, in
+train mode, on its held input or inside `inverse` of the state above,
+and frees its caches when it is done. So it is measured in backward, as
+a peak, separately from the retained total.
 
 `compare_modes` tabulates the ledger of a run's network, every stage
 rebuilt at each chain depth in both modes (stored only when a stage has

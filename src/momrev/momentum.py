@@ -14,18 +14,16 @@ is invertible:
     v = (v' - (1 - gamma) * f(x)) / gamma
 
 which is what lets a chain run backward without caching per-block states.
-A chain is a `Layer` from x_0 to x_n, and the states it retains for
-backward are its layer cache. The backward mode belongs to the chain, not
-to its blocks: a stored chain retains the input activation of every block
-(its backward never reads a velocity), a reversible chain retains only its
-final state and rebuilds the others by inversion, so it refuses any
-gamma = 0 block when it is built. The forward runs every f in eval mode,
-in both modes; backward evaluates each block's f once, in train mode: on
-the retained input in stored mode, and inside `inverse` in reversible
-mode, where the one f(x) both recovers v and fills the caches f.backward
-reads (RevNet's backward, Gomez et al. 2017). So the two modes make the
-same f evaluations with the same per-block working set, and differ only
-in how much chain state they retain.
+A chain is a `Layer` from x_0 to x_n, and the states it holds for
+backward are its layer cache. The mode belongs to the chain, not to its
+blocks, and decides only what the forward holds: a stored chain holds the
+input activation of every block, a reversible chain only its final state
+(x_n, v_n), so it refuses any gamma = 0 block when it is built. The
+forward runs every f in eval mode. Backward is one loop from the top
+block down, with one rule: a block runs f on its held input, or inverts
+the state above (RevNet's backward, Gomez et al. 2017). Either way it
+evaluates f once, in train mode, and that f(x) fills the caches f.backward
+reads, so the two modes differ only in what they hold.
 """
 
 from __future__ import annotations
@@ -102,15 +100,15 @@ class MomentumChain(Layer):
     from zero velocity; as a layer it maps x_0 to x_n.
 
     State i is the input of block i and state n the chain output. The
-    forward runs every f in eval mode; in train mode it caches what its
-    mode's backward reads: stored mode the activations x_0..x_{n-1} (S*n
-    scalars for state size S; backward never reads a stored velocity),
-    reversible mode only x_n and v_n (2*S scalars). Backward takes the
-    cache over and evaluates each block's f once, in train mode: on the
-    block input it pops from the cache in stored mode, inside `inverse` of
-    the next state in reversible mode. Every state is freed once its block
-    is done. `f_transient_peak` is the largest cache one f held during the
-    last backward.
+    forward runs every f in eval mode; in train mode it caches one slot
+    per block input, the array if the chain holds it or None, then the
+    top state: stored mode holds x_0..x_{n-1} and (None, None), S*n
+    scalars for state size S; reversible mode holds no input and
+    (x_n, v_n), 2*S scalars. Backward takes the cache over and walks the
+    blocks down: a block runs f on its held input, or inverts the state
+    above, in train mode either way. Every held state is freed once the
+    block that reads it is done. `f_transient_peak` is the largest cache
+    one f held during the last backward.
     """
 
     def __init__(self, blocks: list[MomentumBlock], mode: str = STORED):
@@ -126,30 +124,30 @@ class MomentumChain(Layer):
         return [p for b in self.blocks for p in b.params()]
 
     def forward(self, x0: np.ndarray, train: bool = True) -> np.ndarray:
-        stored = train and self.mode == STORED
+        hold = train and self.mode == STORED
         state = MomentumState(x0, np.zeros_like(x0))
         inputs = []
         for block in self.blocks:
-            if stored:
-                inputs.append(state.x)
+            inputs.append(state.x if hold else None)
             state = block.forward(state)
         if train:
-            self._cache = tuple(inputs) if stored else (state.x, state.v)
+            top = (None, None) if hold else (state.x, state.v)
+            self._cache = (*inputs, *top)
         return state.x
 
     def backward(self, gx: np.ndarray) -> np.ndarray:
         """Returns the gradient w.r.t. x0; accumulates parameter grads."""
-        if self.mode == STORED:
-            inputs = list(self._take_cache())
-        else:
-            state = MomentumState(*self._take_cache())
+        *inputs, x, v = self._take_cache()
+        state = None if x is None else MomentumState(x, v)
+        del x, v  # held in `state` alone, so the top block's inverse frees it
         gv = np.zeros_like(gx)
         peak = 0
         for block in reversed(self.blocks):
-            if self.mode == STORED:
-                block.f.forward(inputs.pop(), train=True)
-            else:
+            if inputs[-1] is None:
                 state = block.inverse(state, train=True)
+            else:
+                block.f.forward(inputs[-1], train=True)
+            inputs.pop()
             peak = max(peak, block.f.cache_size())
             gx, gv = block.backward_step(gx, gv)
         self.f_transient_peak = peak

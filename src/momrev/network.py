@@ -15,9 +15,9 @@ Two toy architectures share the same building blocks, each one
 
 A momentum chain is a layer, so a network's parts are one list: the
 body's layers with each level expanded, that is the chains and the
-layers between them. A train-mode forward holds
-activations only in their caches (a chain's cache is the states its mode
-retains), which are also the only record of a pending backward. Layer
+layers between them. A train-mode forward holds activations only in
+their caches (a chain's cache is each block input or the final state its
+mode holds), which are also the only record of a pending backward. Layer
 caches hold no copies: each conv and pool keeps its input (the up conv's
 before upsampling), the fuse conv its parts (the up ReLU's output and the
 skip) and each ReLU its output, so every chain output is also a layer's

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,17 @@ def test_checkpoint_roundtrip(tmp_path):
     layers.load_checkpoint(tmp_path / "ckpt", loaded)
     for p, q in zip(params, loaded, strict=True):
         assert p.name == q.name and np.array_equal(p.value, q.value)
+    # each record carries its shape and dtype, so the manifest holds offsets
+    manifest_path = tmp_path / "ckpt.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert all(list(entry) == ["offset"] for entry in manifest.values())
+    # a manifest that also lists shapes and dtypes still loads
+    for p in params:
+        manifest[p.name].update(shape=list(p.value.shape), dtype=str(p.value.dtype))
+    manifest_path.write_text(json.dumps(manifest))
+    old = layers.Conv2d(2, 3, 3, rng=rng(8), name="c").params()
+    layers.load_checkpoint(tmp_path / "ckpt", old)
+    assert all(np.array_equal(p.value, q.value) for p, q in zip(conv.params(), old, strict=True))
 
 
 def test_checkpoint_shape_mismatch(tmp_path):
@@ -234,6 +246,12 @@ def test_checkpoint_shape_mismatch(tmp_path):
     other = layers.Linear(4, 2, rng=rng(1), name="l")
     with pytest.raises(ConfigError):
         layers.load_checkpoint(tmp_path / "ckpt", other.params())
+    # a float64 record is refused by a float32 parameter, not cast
+    wide = layers.Linear(3, 2, rng=rng(2), dtype=np.float32, name="l")
+    before = wide.w.value.copy()
+    with pytest.raises(ConfigError, match="dtype mismatch for 'l.w': float64 vs float32"):
+        layers.load_checkpoint(tmp_path / "ckpt", wide.params())
+    assert np.array_equal(wide.w.value, before)
 
 
 def test_checkpoint_refuses_duplicate_parameter_names(tmp_path):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -166,18 +168,46 @@ def test_chain_backward_evaluates_each_f_once(mode, monkeypatch):
     depth = 3
     chain = _conv_chain(depth, 0.9, mode)
     x0 = rng(8).normal(size=(2, 2, 4, 4))
-    calls = []
-    conv_forward = Conv2d.forward
+    calls, inversions = [], []
+    conv_forward, inverse = Conv2d.forward, MomentumBlock.inverse
 
     def counted(self, x, train=True):
         calls.append(train)
         return conv_forward(self, x, train=train)
 
+    def counted_inverse(self, state_next, train=False):
+        inversions.append(train)
+        return inverse(self, state_next, train=train)
+
     monkeypatch.setattr(Conv2d, "forward", counted)
+    monkeypatch.setattr(MomentumBlock, "inverse", counted_inverse)
     # the forward runs f in eval mode; only backward builds f's caches
     chain.forward(x0, train=True)
     chain.backward(np.ones_like(x0))
     assert calls == [False] * (2 * depth) + [True] * (2 * depth)
+    # a block inverts only where the chain holds no input
+    assert inversions == [True] * (depth if mode == REVERSIBLE else 0)
+
+
+@pytest.mark.parametrize("mode", [STORED, REVERSIBLE])
+def test_chain_backward_frees_each_held_state_after_its_block(mode):
+    chain = _conv_chain(3, 0.9, mode)
+    x0 = rng(9).normal(size=(2, 2, 4, 4))
+    out = chain.forward(x0, train=True)
+    # x_1, x_2 (stored) or x_3, v_3 (reversible); the caller keeps x_0
+    refs = [weakref.ref(a) for a in chain.cached_arrays() if a is not x0]
+    assert len(refs) == 2
+    del out
+    f, alive = chain.blocks[0].f, []
+    f_forward = f.forward
+
+    def recording(x, train=True):
+        alive.append([r() is not None for r in refs])
+        return f_forward(x, train=train)
+
+    f.forward = recording
+    chain.backward(np.ones_like(x0))
+    assert alive == [[False, False]]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
