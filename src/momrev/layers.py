@@ -152,9 +152,8 @@ class Conv2d(Layer):
         x = self._take_cache()
         co, ci, kh, kw = self.w.value.shape
         b, _, h, w = gy.shape
-        p = kh // 2
-        xp = np.zeros((b, h + 2 * p, w + 2 * p, ci), dtype=x.dtype)  # channels-last, padded
-        xp[:, p : p + h, p : p + w] = x.transpose(0, 2, 3, 1)
+        xf, hp, wp = tensor.flat_padded(x, kh)
+        xp = xf.reshape(b, hp, wp, ci)  # channels-last, padded
         gy_by_channel = gy.transpose(1, 0, 2, 3).reshape(co, -1)
         for i in range(kh):
             for j in range(kw):
@@ -162,15 +161,13 @@ class Conv2d(Layer):
                 self.w.grad[:, :, i, j] += np.dot(
                     gy_by_channel, xp[:, i : i + h, j : j + w].reshape(-1, ci)
                 )
-        del xp, gy_by_channel
+        del xf, xp, gy_by_channel
         self.b.grad += gy.sum(axis=(0, 2, 3))
         # the input gradient is the same conv on gy with the kernel flipped in
-        # space and its channel axes swapped. Half the batch at a time halves
-        # the padded grid and its products, which set a train step's peak memory
+        # space and its channel axes swapped; the kernel bounds its own
+        # transients by working through the batch a group of images at a time
         w_t = self.w.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        return np.concatenate(
-            [tensor.conv2d_batched(half, w_t) for half in (gy[: b // 2], gy[b // 2 :])]
-        )
+        return tensor.conv2d_batched(gy, w_t)
 
 
 class ReLU(Layer):

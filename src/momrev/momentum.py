@@ -39,10 +39,10 @@ from .layers import Layer, Sequential, build_residual_function
 @dataclass
 class MomentumState:
     x: np.ndarray
-    v: np.ndarray
+    v: np.ndarray | None  # None where an inverse rebuilt x alone
 
     def __post_init__(self):
-        if self.x.shape != self.v.shape:
+        if self.v is not None and self.x.shape != self.v.shape:
             raise ConfigError(f"state shapes differ: {self.x.shape} vs {self.v.shape}")
 
 
@@ -65,15 +65,16 @@ class MomentumBlock:
             raise NumericError("momentum forward produced non-finite state")
         return MomentumState(x_next, v_next)
 
-    def inverse(self, state_next: MomentumState, train=False) -> MomentumState:
+    def inverse(self, state_next: MomentumState, train=False, velocity=True) -> MomentumState:
         """The block input; in train mode f keeps the caches of f(x) for
-        `backward_step`, and the result is the same either way."""
+        `backward_step`, and the result is the same either way. With
+        `velocity=False` v is not rebuilt and comes back as None."""
         if self.gamma == 0.0:
             raise NotInvertibleError("gamma == 0 block has no inverse")
         x = state_next.x - state_next.v
         fx = self.f.forward(x, train=train)
-        v = (state_next.v - (1.0 - self.gamma) * fx) / self.gamma
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+        v = (state_next.v - (1.0 - self.gamma) * fx) / self.gamma if velocity else None
+        if not (np.all(np.isfinite(x)) and (v is None or np.all(np.isfinite(v)))):
             raise NumericError("momentum inverse produced non-finite state")
         return MomentumState(x, v)
 
@@ -106,9 +107,11 @@ class MomentumChain(Layer):
     scalars for state size S; reversible mode holds no input and
     (x_n, v_n), 2*S scalars. Backward takes the cache over and walks the
     blocks down: a block runs f on its held input, or inverts the state
-    above, in train mode either way. Every held state is freed once the
-    block that reads it is done. `f_transient_peak` is the largest cache
-    one f held during the last backward.
+    above, in train mode either way; an inverse rebuilds v only where the
+    block below inverts too, so block 0 never rebuilds v_0. Every held
+    state is freed once the block that reads it is done.
+    `f_transient_peak` is the largest cache one f held during the last
+    backward.
     """
 
     def __init__(self, blocks: list[MomentumBlock], mode: str = STORED):
@@ -143,11 +146,12 @@ class MomentumChain(Layer):
         gv = np.zeros_like(gx)
         peak = 0
         for block in reversed(self.blocks):
-            if inputs[-1] is None:
-                state = block.inverse(state, train=True)
-            else:
-                block.f.forward(inputs[-1], train=True)
-            inputs.pop()
+            held = inputs.pop()
+            if held is not None:
+                block.f.forward(held, train=True)
+            else:  # v_i is rebuilt only where the block below inverts from it
+                below_inverts = bool(inputs) and inputs[-1] is None
+                state = block.inverse(state, train=True, velocity=below_inverts)
             peak = max(peak, block.f.cache_size())
             gx, gv = block.backward_step(gx, gv)
         self.f_transient_peak = peak

@@ -175,9 +175,10 @@ def test_chain_backward_evaluates_each_f_once(mode, monkeypatch):
         calls.append(train)
         return conv_forward(self, x, train=train)
 
-    def counted_inverse(self, state_next, train=False):
-        inversions.append(train)
-        return inverse(self, state_next, train=train)
+    def counted_inverse(self, state_next, train=False, **kwargs):
+        back = inverse(self, state_next, train=train, **kwargs)
+        inversions.append((train, back.v is not None))
+        return back
 
     monkeypatch.setattr(Conv2d, "forward", counted)
     monkeypatch.setattr(MomentumBlock, "inverse", counted_inverse)
@@ -185,8 +186,12 @@ def test_chain_backward_evaluates_each_f_once(mode, monkeypatch):
     chain.forward(x0, train=True)
     chain.backward(np.ones_like(x0))
     assert calls == [False] * (2 * depth) + [True] * (2 * depth)
-    # a block inverts only where the chain holds no input
-    assert inversions == [True] * (depth if mode == REVERSIBLE else 0)
+    # a block inverts only where the chain holds no input, and rebuilds its
+    # velocity only where the block below inverts from it: never v_0
+    if mode == REVERSIBLE:
+        assert inversions == [(True, True)] * (depth - 1) + [(True, False)]
+    else:
+        assert inversions == []
 
 
 @pytest.mark.parametrize("mode", [STORED, REVERSIBLE])
@@ -274,6 +279,8 @@ def test_train_mode_inverse_returns_the_same_bits(dtype):
     assert block.f.cache_size() > 0
     assert np.array_equal(train_back.x, eval_back.x)
     assert np.array_equal(train_back.v, eval_back.v)
+    x_only = block.inverse(s, velocity=False)
+    assert x_only.v is None and np.array_equal(x_only.x, eval_back.x)
 
 
 def test_backward_without_forward_raises():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,35 @@ def test_conv2d_matches_bruteforce():
         want = np.stack([conv2d_bruteforce(x, kern, 1, k // 2) for x in inp])
         assert got.shape == want.shape == (batch, c_out, h, w)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_conv2d_batch_of_several_groups_matches_bruteforce():
+    """13 images, two to a GROUP_BYTES group at this size: six groups and a
+    remainder of one."""
+    r = rng(30)
+    inp = r.normal(size=(13, 8, 32, 32))
+    kern = r.normal(size=(8, 8, 3, 3))
+    assert tensor.GROUP_BYTES // (34 * 34 * 24 * 8) == 2
+    got = tensor.conv2d_batched(inp, kern)
+    want = np.stack([conv2d_bruteforce(x, kern, 1, 1) for x in inp])
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_conv2d_peak_memory_is_bounded_by_the_group_not_the_batch():
+    """Beyond its result the kernel holds at most a group's GROUP_BYTES of
+    transients, whatever the batch: a 64-image float32 conv peaks below
+    twice its 2 MiB output."""
+    r = rng(31)
+    inp = r.normal(size=(64, 8, 32, 32)).astype(np.float32)
+    kern = r.normal(size=(8, 8, 3, 3)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = tensor.conv2d_batched(inp, kern)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.nbytes
 
 
 def conv2d_backward_bruteforce(inp, kernels, gy, stride, padding):
