@@ -2,14 +2,15 @@
 
 Runs are driven by a JSON config plus a few flag overrides; every run
 writes its resolved config next to its outputs so it can be reproduced
-from the file alone. `verify` runs the property suites of `verify.py` in
-float64 at one depth and gamma, on the conv residual chains the networks
-build; at gamma 0 it skips the two suites that invert. `memprofile`
-reads a config the way `train` does and tabulates the memory ledger of
-its network at each of `--depths` blocks per chain, in both modes (stored
-only if a stage has gamma 0), at the config's batch size and dtype.
-Exit codes: 0 success, 1 verification failure, 2 config error, 3 data
-error, 4 numeric error.
+from the file alone. `train` and `eval` load a run with `train.load_run`,
+so both refuse the same config and data. `verify` runs the property
+suites of `verify.py` in float64 at one depth and gamma, on the conv
+residual chains the networks build; at gamma 0 it skips the two suites
+that invert. `memprofile` reads a config the way `train` does and
+tabulates the memory ledger of its network at each of `--depths` blocks
+per chain, in both modes (stored only if a stage has gamma 0), at the
+config's batch size and dtype. Exit codes: 0 success, 1 verification
+failure, 2 config error, 3 data error, 4 numeric error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 
 from . import memprofile as memprofile_mod
 from . import metrics as metrics_mod
-from . import network as network_mod
 from . import train as train_mod
 from . import verify as verify_mod
 from .errors import ConfigError, DataError, NotInvertibleError, NumericError, ShapeError
@@ -76,9 +76,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
-    net = network_mod.build(cfg.descriptor(), seed=cfg.seed, dtype=cfg.np_dtype())
-    net.load(Path(args.checkpoint))
-    _, sets = train_mod.load_splits(cfg)
+    net, _, sets = train_mod.load_run(cfg, Path(args.checkpoint))
     result = train_mod.evaluate_split(cfg, net, sets[args.split])
     columns, rows = _metric_table(cfg, args.split, result)
     csv_text = metrics_mod.render_csv(columns, rows)

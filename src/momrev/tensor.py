@@ -100,17 +100,16 @@ def flat_padded(inp: Tensor, k: int):
 
 def save_mrt1(path, a: Tensor) -> None:
     """Write one tensor in the MRT1 binary format."""
-    dt = np.dtype(a.dtype)
-    if dt not in _DTYPE_CODES:
-        raise ShapeError(f"MRT1 supports float32/float64, got {dt}")
+    blob = serialize_mrt1(a)  # a refused dtype leaves no file
     with open(path, "wb") as fh:
-        fh.write(serialize_mrt1(a))
+        fh.write(blob)
 
 
 def serialize_mrt1(a: Tensor) -> bytes:
     dt = np.dtype(a.dtype)
-    code = _DTYPE_CODES[dt]
-    header = _MAGIC + struct.pack("<BB", code, a.ndim)
+    if dt not in _DTYPE_CODES:
+        raise ShapeError(f"MRT1 supports float32/float64, got {dt}")
+    header = _MAGIC + struct.pack("<BB", _DTYPE_CODES[dt], a.ndim)
     header += struct.pack(f"<{a.ndim}I", *a.shape)
     return header + np.ascontiguousarray(a).astype(dt.newbyteorder("<")).tobytes()
 

@@ -1,5 +1,6 @@
-"""Training loop: config dataclass, epoch loop with early stopping,
-per-epoch CSV logging, and split evaluation."""
+"""Training loop: config dataclass (the task is the network's), run
+loading shared with `eval`, epoch loop with early stopping, per-epoch
+CSV logging, and split evaluation."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from . import data as data_mod
 from . import loss as loss_mod
 from . import metrics as metrics_mod
 from . import network as network_mod
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .layers import _replace_file
 from .optim import Adam, EarlyStopper
 
@@ -37,7 +38,6 @@ class DataConfig:
 
 @dataclass
 class TrainConfig:
-    task: str = "segmentation"
     network: dict = field(default_factory=dict)
     data: DataConfig = field(default_factory=DataConfig)
     seed: int = 7
@@ -69,9 +69,11 @@ class TrainConfig:
         if self.hd_variant not in metrics_mod.HD_VARIANTS:
             raise ConfigError(f"hd_variant: must be one of {metrics_mod.HD_VARIANTS}, "
                               f"got {self.hd_variant!r}")
-        net_task = self.descriptor().task
-        if net_task != self.task:
-            raise ConfigError(f"network: task {net_task!r} under a {self.task} run")
+        self.descriptor()  # a network that does not build is refused here
+
+    @property
+    def task(self) -> str:
+        return self.network["task"]
 
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
@@ -93,7 +95,6 @@ class TrainConfig:
 def segmentation_defaults(**overrides) -> TrainConfig:
     """Default segmentation recipe at toy scale."""
     cfg = dict(
-        task="segmentation",
         network=dict(
             task="segmentation",
             input_shape=[1, 32, 32],
@@ -109,7 +110,6 @@ def segmentation_defaults(**overrides) -> TrainConfig:
 
 def classification_defaults(**overrides) -> TrainConfig:
     cfg = dict(
-        task="classification",
         network=dict(
             task="classification",
             input_shape=[1, 16, 16],
@@ -137,14 +137,40 @@ def load_dataset(cfg: TrainConfig) -> list[data_mod.Sample]:
     raise ConfigError(f"data.generator: unknown {d.generator!r}")
 
 
-def load_splits(cfg: TrainConfig):
-    """The dataset cut by `SPLIT_SEED`: (manifest, {split name: samples})."""
+def _check_fit(descriptor, samples):
+    """Refuse data the network cannot take, naming the first misfit in dataset
+    order: an image not of input_shape, a mask not 1 x H x W, a label not in [0, k)."""
+    task, k = descriptor.task, descriptor.num_classes
+    mask_shape = (1, *descriptor.input_shape[1:])
+    if samples[0].image.shape != descriptor.input_shape:  # one shape per dataset
+        raise ConfigError(f"data: network input_shape {descriptor.input_shape} does not "
+                          f"fit the data's images of shape {samples[0].image.shape}")
+    for s in samples:
+        shape = np.shape(s.target)
+        if task == "segmentation" and shape != mask_shape:
+            raise ConfigError(f"data: segmentation needs {mask_shape} masks, sample "
+                              f"{s.id!r} has a target of shape {shape}")
+        label = isinstance(s.target, Integral)
+        if task == "classification" and not (label and 0 <= s.target < k):
+            got = f"label {s.target}" if label else f"a target of shape {shape}"
+            raise ConfigError(f"data: classification needs int labels in [0, {k}) "
+                              f"(network.num_classes), sample {s.id!r} has {got}")
+
+
+def load_run(cfg: TrainConfig, checkpoint=None):
+    """(network, split manifest, {split name: samples}) of a run. A given
+    checkpoint is read before any data is made; the data must fit the net."""
+    descriptor = cfg.descriptor()
+    net = network_mod.build(descriptor, seed=cfg.seed, dtype=cfg.np_dtype())
+    if checkpoint is not None:
+        net.load(checkpoint)
     samples = load_dataset(cfg)
     by_id = {s.id: s for s in samples}
     manifest = data_mod.split([s.id for s in samples], SPLIT_SEED)
+    _check_fit(descriptor, samples)
     sets = {name: [by_id[i] for i in getattr(manifest, name)]
             for name in ("train", "val", "test")}
-    return manifest, sets
+    return net, manifest, sets
 
 
 def _stack_batch(samples, dtype, task):
@@ -196,42 +222,19 @@ def evaluate_split(cfg: TrainConfig, net, samples):
     return {"loss": mean_loss, "Accuracy": acc, "MCC": mcc, "confusion": confusion}
 
 
-def _check_targets(task, descriptor, samples):
-    """Every target must be what the task's loss takes: a 1 x H x W mask
-    of the network's input H x W, or an int label in [0, num_classes)."""
-    mask_shape, k = (1, *descriptor.input_shape[1:]), descriptor.num_classes
-    for s in samples:
-        shape = np.shape(s.target)
-        if task == "segmentation" and shape != mask_shape:
-            raise ConfigError(f"data: segmentation needs {mask_shape} masks, sample "
-                              f"{s.id!r} has a target of shape {shape}")
-        label = isinstance(s.target, Integral)
-        if task == "classification" and not (label and 0 <= s.target < k):
-            got = f"label {s.target}" if label else f"a target of shape {shape}"
-            raise ConfigError(f"data: classification needs int labels in [0, {k}) "
-                              f"(network.num_classes), sample {s.id!r} has {got}")
-
-
 def train(cfg: TrainConfig):
-    """Run one training episode, early-stopped on validation loss; returns
-    a result dict.
+    """Run one episode, early-stopped on validation loss; returns a result dict.
 
-    Builds the network and the dataset and checks that they fit the task
-    and each other before it writes anything, so a rejected config leaves
-    no run directory. Then writes into `cfg.out_dir`: resolved config, split,
-    best checkpoint, per-epoch CSV log. The best checkpoint is flushed
-    whenever it improves and the log after every epoch, so a numeric abort
-    still leaves the last good checkpoint and the epochs before it on disk.
+    Loads the run with `load_run`, as `eval` does, before it writes
+    anything, so a rejected run leaves no directory. Then writes into
+    `cfg.out_dir`: resolved config, split, best checkpoint, per-epoch CSV
+    log. The best checkpoint is flushed whenever it improves and the log
+    after every epoch, so a numeric abort still leaves the last good
+    checkpoint and the epochs before it on disk.
     """
     dtype = cfg.np_dtype()
-    descriptor = cfg.descriptor()
-    net = network_mod.build(descriptor, seed=cfg.seed, dtype=dtype)
-    manifest, sets = load_splits(cfg)
+    net, manifest, sets = load_run(cfg)
     train_set, val_set, test_set = sets["train"], sets["val"], sets["test"]
-    if train_set[0].image.shape != descriptor.input_shape:
-        raise ShapeError(f"network input_shape {descriptor.input_shape} does not fit "
-                         f"the data's images of shape {train_set[0].image.shape}")
-    _check_targets(cfg.task, descriptor, [s for part in sets.values() for s in part])
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from momrev import cli
+from momrev import cli, network
 from momrev.errors import NumericError
 from momrev.optim import Adam
-from momrev.train import classification_defaults, segmentation_defaults
+from momrev.train import TrainConfig, classification_defaults, segmentation_defaults
 
 
 def run(argv, capsys):
@@ -178,10 +178,10 @@ def test_memprofile_csv(tmp_path, capsys):
 
 def test_bad_config_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"task": "segmentation", "dtype": "float16"}))
+    bad.write_text(json.dumps({"dtype": "float16"}))
     code, _, err = run(["train", "--config", str(bad)], capsys)
     assert code == 2
-    assert "config error" in err
+    assert err.startswith("config error: dtype:")
 
 
 def test_missing_config_and_preset_exit_code(capsys):
@@ -189,7 +189,7 @@ def test_missing_config_and_preset_exit_code(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("text", [None, "{not json", '{"task": "segmentation", "bogus": 1}'],
+@pytest.mark.parametrize("text", [None, "{not json", '{"bogus": 1}'],
                          ids=["missing", "not-json", "unknown-field"])
 def test_unreadable_config_exit_code(tmp_path, capsys, text):
     path = tmp_path / "config.json"
@@ -243,7 +243,7 @@ def test_eval_missing_checkpoint_exit_code(tmp_path, capsys, monkeypatch):
     def no_dataset(cfg):
         raise AssertionError("dataset loaded before the checkpoint was opened")
 
-    monkeypatch.setattr(cli.train_mod, "load_splits", no_dataset)
+    monkeypatch.setattr(cli.train_mod, "load_dataset", no_dataset)
     cfg_path = tiny_seg_config(tmp_path)
     code, _, err = run(["eval", "--config", str(cfg_path),
                         "--checkpoint", str(tmp_path / "nowhere" / "ck")], capsys)
@@ -364,15 +364,13 @@ def test_unknown_hd_variant_config_exit_code(tmp_path, capsys):
     dict(task="segmentation", input_shape=[1, 16, 16], stages=[_stage()], bogus=1),
     dict(task="segmentation", input_shape=[1, 16, 16], stages=[_stage(bogus=1)]),
     dict(task="segmentation", input_shape=[1, 8, 8], stages=[_stage()]),
-    dict(task="classification", input_shape=[1, 16, 16], stages=[_stage()]),
     _seg_network(width=2.5),
     _seg_network(blocks=1.5),
     _seg_network(gamma="0.9"),
     _seg_network(width=0),
     _seg_network(mode="bogus"),
 ], ids=["unknown-network-key", "unknown-stage-key", "input-shape-vs-data-hw",
-        "classifier-under-segmentation", "float-width", "float-blocks", "string-gamma",
-        "zero-width", "unknown-mode"])
+        "float-width", "float-blocks", "string-gamma", "zero-width", "unknown-mode"])
 def test_inconsistent_network_config_exit_code(tmp_path, capsys, network):
     cfg_path = tiny_seg_config(tmp_path, network=network)
     code, _, err = run(["train", "--config", str(cfg_path)], capsys)
@@ -410,14 +408,18 @@ def test_wrong_typed_config_value_exit_code(tmp_path, capsys, overrides, named):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("command", [["eval", "--checkpoint", "nowhere"],
-                                     ["memprofile", "--depths", "1"]], ids=["eval", "memprofile"])
-def test_network_of_another_task_exit_code(tmp_path, capsys, command):
-    cfg_path = tiny_seg_config(tmp_path, network=dict(
-        task="classification", input_shape=[1, 16, 16], stages=[_stage()]))
-    code, out, err = run([command[0], "--config", str(cfg_path), *command[1:]], capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("config error: network:") and len(err.splitlines()) == 1
+def test_task_is_set_in_network_only(tmp_path, capsys):
+    cfg_path = tiny_seg_config(tmp_path, task="segmentation")
+    for command in (["train"], ["eval", "--checkpoint", "nowhere"]):
+        code, out, err = run([command[0], "--config", str(cfg_path), *command[1:]], capsys)
+        assert code == 2 and out == "", command
+        assert err.startswith("config error:") and "'task'" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+    cfg_path = tiny_seg_config(tmp_path, epochs=0)
+    assert run(["train", "--config", str(cfg_path)], capsys)[0] == 0
+    resolved = json.loads((tmp_path / "run" / "config.json").read_text())
+    assert "task" not in resolved and resolved["network"]["task"] == "segmentation"
 
 
 @pytest.mark.parametrize("defaults, data, num_classes", [
@@ -432,11 +434,18 @@ def test_data_that_does_not_fit_the_task_exit_code(tmp_path, capsys, defaults, d
         cfg["network"]["num_classes"] = num_classes
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    code, _, err = run(["train", "--config", str(path), "--out", str(tmp_path / "run")],
-                       capsys)
-    assert code == 2
-    assert err.startswith("config error:") and len(err.splitlines()) == 1
-    assert not (tmp_path / "run").exists()
+    own = TrainConfig.from_json(path.read_text())  # eval reads a checkpoint of this network
+    ckpt = tmp_path / "ck"
+    network.build(own.descriptor(), seed=own.seed, dtype=own.np_dtype()).save(ckpt)
+    errors = []
+    for command in (["train"], ["eval", "--checkpoint", str(ckpt)]):
+        code, out, err = run([command[0], "--config", str(path), *command[1:],
+                              "--out", str(tmp_path / "run")], capsys)
+        assert code == 2 and out == "", command
+        assert err.startswith("config error: data:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+        errors.append(err)
+    assert errors[0] == errors[1]  # eval refuses the data as train does
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -188,6 +188,16 @@ def test_mrt1_header_layout(tmp_path):
     assert blob[6:14] == (2).to_bytes(4, "little") + (3).to_bytes(4, "little")
 
 
+@pytest.mark.parametrize("dtype", [np.float16, np.int32])
+def test_mrt1_refuses_other_dtypes(tmp_path, dtype):
+    # serialize_mrt1 holds the one check, so save_mrt1 and save_checkpoint share it
+    with pytest.raises(ShapeError, match="MRT1 supports float32/float64"):
+        tensor.serialize_mrt1(np.zeros((2, 3), dtype=dtype))
+    with pytest.raises(ShapeError):
+        tensor.save_mrt1(tmp_path / "t.mrt1", np.zeros(3, dtype=dtype))
+    assert not (tmp_path / "t.mrt1").exists()
+
+
 def test_mrt1_bad_magic():
     with pytest.raises(DataError):
         tensor.deserialize_mrt1(b"NOPE" + bytes(16))
