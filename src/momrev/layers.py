@@ -199,36 +199,41 @@ class Tanh(Layer):
         return gy * (1.0 - y * y)
 
 
+def _taps(a):
+    """Views of pixel (i, j) of every 2x2 window, in the order 00, 01, 10, 11."""
+    return [a[..., i::2, j::2] for i in (0, 1) for j in (0, 1)]
+
+
 class MaxPool2(Layer):
     """2x2 max pooling, stride 2. Caches its input, which the network holds
-    anyway (a skip, or a ReLU output), and finds the argmax again in
-    backward."""
+    anyway (a skip, or a ReLU output). Backward pools it again and routes each
+    gradient to the first pixel of its window that is NaN or else equals the
+    max: argmax's rule, ties included."""
 
     @staticmethod
-    def _windows(x):
-        b, c, h, w = x.shape
-        windows = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        return windows.reshape(b, c, h // 2, w // 2, 4)
+    def _pool(x):
+        t00, t01, t10, t11 = _taps(x)
+        return np.maximum(np.maximum(t00, t01), np.maximum(t10, t11))
 
     def forward(self, x, train=True):
-        b, c, h, w = x.shape
+        h, w = x.shape[-2:]
         if h % 2 or w % 2:
             raise ShapeError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-        y = x.reshape(b, c, h // 2, 2, w // 2, 2).max(axis=(3, 5))
         if train:
             self._cache = x
-        return y
+        return self._pool(x)
 
     def backward(self, gy):
         x = self._take_cache()
-        b, c, h, w = x.shape
-        windows = self._windows(x)
-        idx = windows.argmax(axis=-1)
-        del windows  # a copy of x: free it before gwin is allocated
-        gwin = np.zeros((b, c, h // 2, w // 2, 4), dtype=gy.dtype)
-        np.put_along_axis(gwin, idx[..., None], gy[..., None], axis=-1)
-        gx = gwin.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        return gx.reshape(b, c, h, w)
+        y = self._pool(x)
+        gx = np.zeros(x.shape, dtype=gy.dtype)
+        free = np.ones(y.shape, dtype=bool)  # windows whose pixel is not yet chosen
+        for t, gt in zip(_taps(x), _taps(gx)):
+            hit = (t == y) | np.isnan(t)
+            hit &= free
+            free &= ~hit
+            np.copyto(gt, gy, where=hit)
+        return gx
 
 
 class Upsample2(Layer):
@@ -238,9 +243,13 @@ class Upsample2(Layer):
         return x.repeat(2, axis=-2).repeat(2, axis=-1)
 
     def backward(self, gy):
-        h2, w2 = gy.shape[-2], gy.shape[-1]
-        shape = gy.shape[:-2] + (h2 // 2, 2, w2 // 2, 2)
-        return gy.reshape(shape).sum(axis=(-3, -1))
+        # (0 + (a + b)) + (c + d) is numpy 2.4's order for a sum over two
+        # size-2 axes; from +0, a window of -0 sums to +0 as it does there
+        t00, t01, t10, t11 = _taps(gy)
+        g = np.zeros(t00.shape, dtype=gy.dtype)
+        g += t00 + t01
+        g += t10 + t11
+        return g
 
 
 class UpConv2d(Conv2d):

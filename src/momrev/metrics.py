@@ -57,10 +57,8 @@ def boundary_pixels(mask: np.ndarray) -> np.ndarray:
     Returns an N x 2 array of (row, col) coordinates.
     """
     m = mask.astype(bool)
-    padded = np.pad(m, 1, constant_values=False)
-    interior = (
-        padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
-    )
+    interior = np.zeros_like(m)  # no edge pixel is interior
+    interior[1:-1, 1:-1] = m[:-2, 1:-1] & m[2:, 1:-1] & m[1:-1, :-2] & m[1:-1, 2:]
     return np.argwhere(m & ~interior)
 
 

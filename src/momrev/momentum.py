@@ -61,7 +61,7 @@ class MomentumBlock:
         fx = self.f.forward(state.x, train=False)
         v_next = self.gamma * state.v + (1.0 - self.gamma) * fx
         x_next = state.x + v_next
-        if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(v_next))):
+        if not np.all(np.isfinite(x_next)):  # x + v' is non-finite wherever v' is
             raise NumericError("momentum forward produced non-finite state")
         return MomentumState(x_next, v_next)
 

@@ -123,6 +123,65 @@ def test_maxpool_caches_its_input():
     assert cached is x
 
 
+def _pool_oracle(x, gy):
+    """Per-window loop over 2x2 windows: the pooled value is the window's
+    max (NaN if it holds one), and the gradient goes to the first pixel in
+    window order (0,0), (0,1), (1,0), (1,1) that is NaN, or else equals it."""
+    b, c, h, w = x.shape
+    y = np.empty((b, c, h // 2, w // 2), x.dtype)
+    gx = np.zeros_like(x)
+    for n, k, i, j in np.ndindex(y.shape):
+        pixels = [(2 * i + di, 2 * j + dj) for di in (0, 1) for dj in (0, 1)]
+        vals = [x[n, k, p, q] for p, q in pixels]
+        nans = [v != v for v in vals]
+        first = nans.index(True) if any(nans) else vals.index(max(vals))
+        y[n, k, i, j] = vals[first]
+        gx[(n, k, *pixels[first])] = gy[n, k, i, j]
+    return y, gx
+
+
+def _pool_inputs(r, dtype):
+    """Random data, all-equal windows, +-0 ties, ReLU-like zero windows, NaN."""
+    shape = (2, 3, 6, 8)
+    plain = r.normal(size=shape)
+    equal = np.repeat(np.repeat(r.normal(size=(2, 3, 3, 4)), 2, axis=2), 2, axis=3)
+    signed_zeros = r.choice([-0.0, 0.0, -1.0, 1.0], size=shape, p=[0.4, 0.4, 0.1, 0.1])
+    relu = np.maximum(r.normal(size=shape) - 1.0, 0.0)
+    nan = r.normal(size=shape)
+    nan[r.uniform(size=shape) < 0.3] = np.nan
+    nan[0, 0, :2, :2] = np.nan  # a window of NaN alone
+    return [a.astype(dtype) for a in (plain, equal, signed_zeros, relu, nan)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_matches_a_per_window_oracle(dtype):
+    r = rng(27)
+    for x in _pool_inputs(r, dtype):
+        gy = r.normal(size=(2, 3, 3, 4)).astype(dtype)
+        want_y, want_gx = _pool_oracle(x, gy)
+        pool = layers.MaxPool2()
+        y = pool.forward(x)
+        gx = pool.backward(gy)
+        assert y.dtype == gx.dtype == dtype
+        assert np.array_equal(y, want_y, equal_nan=True)
+        assert np.array_equal(gx, want_gx)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_upsample_backward_sums_each_window_in_pairs(dtype):
+    r = rng(28)
+    # magnitudes far apart, so a sum in any other order rounds differently
+    gy = (r.normal(size=(2, 3, 8, 10)) * 10.0 ** r.integers(-8, 9, size=(2, 3, 8, 10)))
+    gy = gy.astype(dtype)
+    a, b, c, d = (gy[..., i::2, j::2] for i in (0, 1) for j in (0, 1))
+    want = np.empty(a.shape, dtype)
+    for i, j in np.ndindex(want.shape[-2:]):
+        want[..., i, j] = (a[..., i, j] + b[..., i, j]) + (c[..., i, j] + d[..., i, j])
+    got = layers.Upsample2().backward(gy)
+    assert got.dtype == dtype and np.array_equal(got, want)
+    assert not np.array_equal(got, ((a + b) + c) + d)
+
+
 def test_linear_identity():
     layer = layers.Linear(2, 2, rng=rng(0))
     layer.w.value[...] = np.eye(2)

@@ -5,7 +5,7 @@ import pytest
 
 from momrev import metrics
 from momrev.errors import DataError
-from momrev.verify import oracle_hausdorff
+from momrev.verify import oracle_boundary, oracle_hausdorff
 from util import rng
 
 def random_mask(r, hw=8):
@@ -94,6 +94,17 @@ def test_hausdorff_empty_conventions():
     full = np.ones((4, 4), dtype=np.uint8)
     assert metrics.hausdorff(empty, empty) == 0.0
     assert math.isinf(metrics.hausdorff(empty, full))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 2), (3, 3), (8, 8), (7, 12)])
+def test_boundary_pixels_match_the_bruteforce_oracle(shape):
+    r = rng(sum(shape))
+    masks = [np.ones(shape, np.uint8), np.zeros(shape, np.uint8)]
+    masks += [r.uniform(size=shape) < r.uniform(0.1, 0.9) for _ in range(20)]
+    for mask in masks:
+        got = metrics.boundary_pixels(mask)
+        assert got.shape == (len(oracle_boundary(mask)), 2)
+        assert [tuple(p) for p in got.tolist()] == oracle_boundary(mask)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from momrev.errors import ConfigError, NotInvertibleError, StateError
+from momrev.errors import ConfigError, NotInvertibleError, NumericError, StateError
 from momrev.layers import Conv2d, Linear, Sequential, build_residual_function
 from momrev.momentum import (
     REVERSIBLE,
@@ -59,6 +59,33 @@ def test_inverse_gamma_one_keeps_velocity():
     back = block.inverse(s_next)
     assert np.array_equal(back.v, s_next.v)
     assert np.array_equal(back.x, s_next.x - s_next.v)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_forward_refuses_a_non_finite_f_or_input(bad):
+    one, zero = np.array([[1.0]]), np.array([[0.0]])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError, match="forward"):
+            MomentumBlock(0.9, scaled_identity_f(w=bad)).forward(MomentumState(one, zero))
+        with pytest.raises(NumericError, match="forward"):
+            MomentumBlock(0.9, zero_f()).forward(MomentumState(np.array([[bad]]), zero))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_inverse_refuses_a_non_finite_state(bad):
+    block = MomentumBlock(0.5, zero_f())
+    for x, v in ((bad, 1.0), (1.0, bad)):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="inverse"):
+            block.inverse(MomentumState(np.array([[x]]), np.array([[v]])))
+
+
+def test_inverse_refuses_a_velocity_that_overflows_from_finite_x():
+    # x = x' - v' = 0 is finite, but v = v' / gamma overflows
+    big = np.array([[1e308]])
+    block = MomentumBlock(0.5, zero_f())
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="inverse"):
+        block.inverse(MomentumState(big, big))
+    assert block.inverse(MomentumState(big, big), velocity=False).x.item() == 0.0
 
 
 def test_reversible_requires_positive_gamma():
