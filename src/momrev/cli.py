@@ -5,11 +5,12 @@ writes its resolved config next to its outputs so it can be reproduced
 from the file alone. `train` and `eval` load a run with `train.load_run`,
 so both refuse the same config and data. `verify` runs the property
 suites of `verify.py` in float64 at one depth and gamma, on the conv
-residual chains the networks build; at gamma 0 it skips the two suites
-that invert. `memprofile` reads a config the way `train` does and
-tabulates the memory ledger of its network at each of `--depths` blocks
-per chain, in both modes (stored only if a stage has gamma 0), at the
-config's batch size and dtype. Exit codes: 0 success, 1 verification
+residual chains the networks build, after the stage check that a config
+passes too (`momentum.check_stage`: depth >= 1, gamma in [0, 1]); at
+gamma 0 it skips the two suites that invert. `memprofile` reads a config
+the way `train` does and tabulates the memory ledger of its network at
+each of `--depths` blocks per chain, in both modes (stored only if a
+stage has gamma 0), at the config's batch size and dtype. Exit codes: 0 success, 1 verification
 failure, 2 config error, 3 data error, 4 numeric error.
 """
 

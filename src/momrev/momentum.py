@@ -14,69 +14,74 @@ is invertible:
     v = (v' - (1 - gamma) * f(x)) / gamma
 
 which is what lets a chain run backward without caching per-block states.
-A chain is a `Layer` from x_0 to x_n, and the states it holds for
-backward are its layer cache. The mode belongs to the chain, not to its
-blocks, and decides only what the forward holds: a stored chain holds the
-input activation of every block, a reversible chain only its final state
-(x_n, v_n), so it refuses any gamma = 0 block when it is built. The
-forward runs every f in eval mode. Backward is one loop from the top
-block down, with one rule: a block runs f on its held input, or inverts
-the state above (RevNet's backward, Gomez et al. 2017). Either way it
-evaluates f once, in train mode, and that f(x) fills the caches f.backward
-reads, so the two modes differ only in what they hold.
+A block takes and returns its state as a plain (x, v) pair of arrays. A
+chain is a `Layer` from x_0 to x_n, and the states it holds for backward
+are its layer cache. The mode belongs to the chain, not to its blocks, and
+decides only what the forward holds: a stored chain holds the input
+activation of every block, a reversible chain only its final state
+(x_n, v_n). `check_stage` is the one statement of the stage rules; a
+chain, a network descriptor and `verify` call it before they build
+anything. The forward runs every f in eval mode. Backward is one loop
+from the top block down, with one rule: a block runs f on its held input,
+or inverts the state above (RevNet's backward, Gomez et al. 2017). Either
+way it evaluates f once, in train mode, and that f(x) fills the caches
+f.backward reads, so the two modes differ only in what they hold.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NotInvertibleError, NumericError
 from .layers import Layer, Sequential, build_residual_function
 
-
-@dataclass
-class MomentumState:
-    x: np.ndarray
-    v: np.ndarray | None  # None where an inverse rebuilt x alone
-
-    def __post_init__(self):
-        if self.v is not None and self.x.shape != self.v.shape:
-            raise ConfigError(f"state shapes differ: {self.x.shape} vs {self.v.shape}")
-
-
 STORED = "stored"
 REVERSIBLE = "reversible"
 
 
+def check_stage(blocks: int, gammas, mode: str, prefix: str = ""):
+    """Raise ConfigError unless a stage of `blocks` blocks at `gammas` can
+    run in `mode`: at least one block, every gamma in [0, 1] (NaN and inf
+    fail), mode stored or reversible, and gamma > 0 for every block of a
+    reversible stage, since a block inverts only there. The message names
+    the field after `prefix`."""
+    if blocks < 1:
+        raise ConfigError(f"{prefix}blocks: must be >= 1, got {blocks!r}")
+    for gamma in gammas:
+        if not 0.0 <= gamma <= 1.0:
+            raise ConfigError(f"{prefix}gamma: must be in [0, 1], got {gamma!r}")
+    if mode not in (STORED, REVERSIBLE):
+        raise ConfigError(f"{prefix}mode: must be {STORED!r} or {REVERSIBLE!r}, got {mode!r}")
+    if mode == REVERSIBLE and 0.0 in gammas:
+        raise ConfigError(f"{prefix}mode: {REVERSIBLE!r} needs gamma > 0, got gamma 0")
+
+
 class MomentumBlock:
     def __init__(self, gamma: float, f: Sequential):
-        if not 0.0 <= gamma <= 1.0:
-            raise ConfigError(f"gamma must lie in [0,1], got {gamma}")
         self.gamma = gamma
         self.f = f
 
-    def forward(self, state: MomentumState) -> MomentumState:
-        fx = self.f.forward(state.x, train=False)
-        v_next = self.gamma * state.v + (1.0 - self.gamma) * fx
-        x_next = state.x + v_next
+    def forward(self, x: np.ndarray, v: np.ndarray):
+        """The block output (x', v')."""
+        fx = self.f.forward(x, train=False)
+        v_next = self.gamma * v + (1.0 - self.gamma) * fx
+        x_next = x + v_next
         if not np.all(np.isfinite(x_next)):  # x + v' is non-finite wherever v' is
             raise NumericError("momentum forward produced non-finite state")
-        return MomentumState(x_next, v_next)
+        return x_next, v_next
 
-    def inverse(self, state_next: MomentumState, train=False, velocity=True) -> MomentumState:
-        """The block input; in train mode f keeps the caches of f(x) for
-        `backward_step`, and the result is the same either way. With
+    def inverse(self, x_next: np.ndarray, v_next: np.ndarray, train=False, velocity=True):
+        """The block input (x, v); in train mode f keeps the caches of f(x)
+        for `backward_step`, and the result is the same either way. With
         `velocity=False` v is not rebuilt and comes back as None."""
         if self.gamma == 0.0:
             raise NotInvertibleError("gamma == 0 block has no inverse")
-        x = state_next.x - state_next.v
+        x = x_next - v_next
         fx = self.f.forward(x, train=train)
-        v = (state_next.v - (1.0 - self.gamma) * fx) / self.gamma if velocity else None
+        v = (v_next - (1.0 - self.gamma) * fx) / self.gamma if velocity else None
         if not (np.all(np.isfinite(x)) and (v is None or np.all(np.isfinite(v)))):
             raise NumericError("momentum inverse produced non-finite state")
-        return MomentumState(x, v)
+        return x, v
 
     def backward_step(self, gx_next: np.ndarray, gv_next: np.ndarray):
         """Grads through one block whose f has just run in train mode on the
@@ -115,10 +120,7 @@ class MomentumChain(Layer):
     """
 
     def __init__(self, blocks: list[MomentumBlock], mode: str = STORED):
-        if mode not in (STORED, REVERSIBLE):
-            raise ConfigError(f"unknown mode {mode!r}")
-        if mode == REVERSIBLE and any(b.gamma == 0.0 for b in blocks):
-            raise NotInvertibleError("reversible mode requires gamma > 0")
+        check_stage(len(blocks), [b.gamma for b in blocks], mode)
         self.blocks = list(blocks)
         self.mode = mode
         self.f_transient_peak = 0
@@ -128,21 +130,19 @@ class MomentumChain(Layer):
 
     def forward(self, x0: np.ndarray, train: bool = True) -> np.ndarray:
         hold = train and self.mode == STORED
-        state = MomentumState(x0, np.zeros_like(x0))
+        x, v = x0, np.zeros_like(x0)
         inputs = []
         for block in self.blocks:
-            inputs.append(state.x if hold else None)
-            state = block.forward(state)
+            inputs.append(x if hold else None)
+            x, v = block.forward(x, v)
         if train:
-            top = (None, None) if hold else (state.x, state.v)
+            top = (None, None) if hold else (x, v)
             self._cache = (*inputs, *top)
-        return state.x
+        return x
 
     def backward(self, gx: np.ndarray) -> np.ndarray:
         """Returns the gradient w.r.t. x0; accumulates parameter grads."""
         *inputs, x, v = self._take_cache()
-        state = None if x is None else MomentumState(x, v)
-        del x, v  # held in `state` alone, so the top block's inverse frees it
         gv = np.zeros_like(gx)
         peak = 0
         for block in reversed(self.blocks):
@@ -151,7 +151,7 @@ class MomentumChain(Layer):
                 block.f.forward(held, train=True)
             else:  # v_i is rebuilt only where the block below inverts from it
                 below_inverts = bool(inputs) and inputs[-1] is None
-                state = block.inverse(state, train=True, velocity=below_inverts)
+                x, v = block.inverse(x, v, train=True, velocity=below_inverts)
             peak = max(peak, block.f.cache_size())
             gx, gv = block.backward_step(gx, gv)
         self.f_transient_peak = peak

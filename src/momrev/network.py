@@ -51,7 +51,7 @@ from .layers import (
     load_checkpoint,
     save_checkpoint,
 )
-from .momentum import REVERSIBLE, STORED, MomentumChain, build_chain
+from .momentum import MomentumChain, build_chain, check_stage
 
 
 def check_field_types(cfg, prefix=""):
@@ -98,16 +98,9 @@ class NetworkDescriptor:
             raise ConfigError("stages: at least one stage is required")
         for i, s in enumerate(self.stages):
             check_field_types(s, f"stages[{i}].")
-            if min(s.width, s.blocks) < 1:
-                raise ConfigError(f"stages[{i}]: width and blocks must be >= 1, got {s}")
-            if not 0.0 <= s.gamma <= 1.0:
-                raise ConfigError(f"stages[{i}].gamma: must be in [0, 1], got {s.gamma!r}")
-            if s.mode not in (STORED, REVERSIBLE):
-                raise ConfigError(f"stages[{i}].mode: must be {STORED!r} or {REVERSIBLE!r}, "
-                                  f"got {s.mode!r}")
-            if s.mode == REVERSIBLE and s.gamma == 0.0:
-                raise ConfigError(f"stages[{i}].mode: {REVERSIBLE!r} needs gamma > 0, "
-                                  f"got gamma {s.gamma!r}")
+            if s.width < 1:
+                raise ConfigError(f"stages[{i}].width: must be >= 1, got {s.width!r}")
+            check_stage(s.blocks, [s.gamma], s.mode, f"stages[{i}].")
         _, h, w = self.input_shape
         factor = 2 ** (len(self.stages) - 1)
         if h % factor or w % factor:

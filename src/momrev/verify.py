@@ -24,9 +24,8 @@ import numpy as np
 
 from . import loss as loss_mod
 from . import metrics as metrics_mod
-from .errors import ConfigError
 from .layers import build_residual_function
-from .momentum import REVERSIBLE, STORED, MomentumBlock, MomentumState, build_chain
+from .momentum import REVERSIBLE, STORED, MomentumBlock, build_chain, check_stage
 
 
 @dataclass
@@ -87,10 +86,9 @@ def suite_inversion_roundtrip() -> VerifyResult:
     for gamma in (0.1, 0.5, 0.9, 1.0, 0.05):
         for _ in range(100):
             block = MomentumBlock(gamma, build_residual_function(2, rng, np.float64))
-            s = MomentumState(rng.normal(size=(1, 2, 4, 4)), rng.normal(size=(1, 2, 4, 4)))
-            s2 = block.forward(s)
-            back = block.inverse(s2)
-            err = max(np.abs(back.x - s.x).max(), np.abs(back.v - s.v).max())
+            x, v = rng.normal(size=(1, 2, 4, 4)), rng.normal(size=(1, 2, 4, 4))
+            bx, bv = block.inverse(*block.forward(x, v))
+            err = max(np.abs(bx - x).max(), np.abs(bv - v).max())
             worst = max(worst, err)
     return VerifyResult("inversion_roundtrip", worst <= tol,
                         f"max |inverse(forward(s)) - s| = {worst:.3e} (tol {tol:g})")
@@ -101,13 +99,13 @@ def suite_chain_roundtrip(depth=10, gamma=0.9) -> VerifyResult:
     worst = 0.0
     for _ in range(20):
         chain = build_chain(2, depth, gamma, REVERSIBLE, rng, name="verify")
-        s = MomentumState(rng.normal(size=(1, 2, 4, 4)), rng.normal(size=(1, 2, 4, 4)))
-        state = s
+        x0, v0 = rng.normal(size=(1, 2, 4, 4)), rng.normal(size=(1, 2, 4, 4))
+        x, v = x0, v0
         for b in chain.blocks:
-            state = b.forward(state)
+            x, v = b.forward(x, v)
         for b in reversed(chain.blocks):
-            state = b.inverse(state)
-        err = max(np.abs(state.x - s.x).max(), np.abs(state.v - s.v).max())
+            x, v = b.inverse(x, v)
+        err = max(np.abs(x - x0).max(), np.abs(v - v0).max())
         worst = max(worst, err)
     return VerifyResult("chain_roundtrip", worst <= tol,
                         f"depth-{depth} round-trip error = {worst:.3e} (tol {tol:g})")
@@ -121,9 +119,9 @@ def suite_resnet_endpoint() -> VerifyResult:
         block = MomentumBlock(0.0, f)
         x = rng.normal(size=(1, 2, 4, 4))
         v = rng.normal(size=(1, 2, 4, 4))
-        out = block.forward(MomentumState(x, v))
+        x_next, _ = block.forward(x, v)
         expected = x + f.forward(x, train=False)
-        ok &= np.array_equal(out.x, expected)
+        ok &= np.array_equal(x_next, expected)
     return VerifyResult("resnet_endpoint_gamma0", ok,
                         f"x' == x + f(x) bit-exactly over {cases} cases" if ok
                         else "bitwise mismatch at gamma=0")
@@ -293,8 +291,9 @@ def suite_metric_oracles(cases=200) -> VerifyResult:
 
 
 def run_all(depth=10, gamma=0.9) -> list[VerifyResult]:
-    if depth < 1:
-        raise ConfigError(f"verify depth must be >= 1, got {depth}")
+    # refused before any suite runs; the chains below are stored ones, and
+    # reversible ones too where gamma > 0 lets them invert
+    check_stage(depth, [gamma], STORED, "verify chain ")
     results = [suite_inversion_roundtrip(), suite_resnet_endpoint()]
     if gamma > 0.0:
         # inversion-based sweeps need gamma > 0; the plain residual

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from momrev import cli, network
+from momrev import cli, network, verify
 from momrev.errors import NumericError
 from momrev.optim import Adam
 from momrev.train import TrainConfig, classification_defaults, segmentation_defaults
@@ -145,9 +145,17 @@ def test_verify_gamma_zero_stored_passes(capsys):
     assert not any("chain_roundtrip" in l or "gradient_modes" in l for l in lines)
 
 
-@pytest.mark.parametrize("depth", ["0", "-3"])
-def test_verify_nonpositive_depth_exit_code(capsys, depth):
-    code, out, err = run(["verify", "--depth", depth], capsys)
+@pytest.mark.parametrize("flags", [
+    ["--gamma=-0.5"], ["--gamma", "nan"], ["--gamma", "1.5"], ["--gamma", "inf"],
+    ["--depth", "0"], ["--depth=-3"],
+], ids=["gamma-0.5", "gamma-nan", "gamma-1.5", "gamma-inf", "0", "-3"])
+def test_verify_nonpositive_depth_exit_code(capsys, monkeypatch, flags):
+    """A depth below 1 or a gamma outside [0, 1] is refused before any suite runs."""
+    def no_suite():
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(verify, "suite_inversion_roundtrip", no_suite)
+    code, out, err = run(["verify", *flags], capsys)
     assert code == 2 and out == ""
     assert err.startswith("config error:") and len(err.splitlines()) == 1
 

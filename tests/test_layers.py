@@ -182,6 +182,16 @@ def test_upsample_backward_sums_each_window_in_pairs(dtype):
     assert not np.array_equal(got, ((a + b) + c) + d)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_upsample_forward_repeats_each_pixel_bytewise(dtype):
+    x = rng(29).normal(size=(16, 16, 16, 16)).astype(dtype)
+    x[0, 0, 0, :4] = [np.nan, -0.0, np.inf, -np.inf]
+    want = x.repeat(2, axis=-2).repeat(2, axis=-1)
+    got = layers.Upsample2().forward(x)
+    assert got.dtype == dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_linear_identity():
     layer = layers.Linear(2, 2, rng=rng(0))
     layer.w.value[...] = np.eye(2)

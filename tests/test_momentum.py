@@ -10,7 +10,6 @@ from momrev.momentum import (
     STORED,
     MomentumBlock,
     MomentumChain,
-    MomentumState,
 )
 from util import rng
 
@@ -33,32 +32,32 @@ def conv_f(seed, channels=2, dtype=np.float64):
 
 def test_forward_with_zero_f():
     block = MomentumBlock(0.9, zero_f())
-    out = block.forward(MomentumState(np.array([[1.0]]), np.array([[2.0]])))
-    assert out.v.item() == pytest.approx(1.8)
-    assert out.x.item() == pytest.approx(2.8)
+    x, v = block.forward(np.array([[1.0]]), np.array([[2.0]]))
+    assert v.item() == pytest.approx(1.8)
+    assert x.item() == pytest.approx(2.8)
 
 
 def test_forward_identity_f():
     block = MomentumBlock(0.5, scaled_identity_f())
-    out = block.forward(MomentumState(np.array([[2.0]]), np.array([[0.0]])))
-    assert out.v.item() == pytest.approx(1.0)
-    assert out.x.item() == pytest.approx(3.0)
+    x, v = block.forward(np.array([[2.0]]), np.array([[0.0]]))
+    assert v.item() == pytest.approx(1.0)
+    assert x.item() == pytest.approx(3.0)
 
 
 def test_inverse_identity_f():
     block = MomentumBlock(0.5, scaled_identity_f())
-    back = block.inverse(MomentumState(np.array([[3.0]]), np.array([[1.0]])))
-    assert back.x.item() == pytest.approx(2.0)
-    assert back.v.item() == pytest.approx(0.0)
+    x, v = block.inverse(np.array([[3.0]]), np.array([[1.0]]))
+    assert x.item() == pytest.approx(2.0)
+    assert v.item() == pytest.approx(0.0)
 
 
 def test_inverse_gamma_one_keeps_velocity():
     block = MomentumBlock(1.0, conv_f(1))
     r = rng(2)
-    s_next = MomentumState(r.normal(size=(1, 2, 4, 4)), r.normal(size=(1, 2, 4, 4)))
-    back = block.inverse(s_next)
-    assert np.array_equal(back.v, s_next.v)
-    assert np.array_equal(back.x, s_next.x - s_next.v)
+    x_next, v_next = r.normal(size=(1, 2, 4, 4)), r.normal(size=(1, 2, 4, 4))
+    x, v = block.inverse(x_next, v_next)
+    assert np.array_equal(v, v_next)
+    assert np.array_equal(x, x_next - v_next)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -66,9 +65,9 @@ def test_forward_refuses_a_non_finite_f_or_input(bad):
     one, zero = np.array([[1.0]]), np.array([[0.0]])
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericError, match="forward"):
-            MomentumBlock(0.9, scaled_identity_f(w=bad)).forward(MomentumState(one, zero))
+            MomentumBlock(0.9, scaled_identity_f(w=bad)).forward(one, zero)
         with pytest.raises(NumericError, match="forward"):
-            MomentumBlock(0.9, zero_f()).forward(MomentumState(np.array([[bad]]), zero))
+            MomentumBlock(0.9, zero_f()).forward(np.array([[bad]]), zero)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -76,7 +75,7 @@ def test_inverse_refuses_a_non_finite_state(bad):
     block = MomentumBlock(0.5, zero_f())
     for x, v in ((bad, 1.0), (1.0, bad)):
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="inverse"):
-            block.inverse(MomentumState(np.array([[x]]), np.array([[v]])))
+            block.inverse(np.array([[x]]), np.array([[v]]))
 
 
 def test_inverse_refuses_a_velocity_that_overflows_from_finite_x():
@@ -84,42 +83,48 @@ def test_inverse_refuses_a_velocity_that_overflows_from_finite_x():
     big = np.array([[1e308]])
     block = MomentumBlock(0.5, zero_f())
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="inverse"):
-        block.inverse(MomentumState(big, big))
-    assert block.inverse(MomentumState(big, big), velocity=False).x.item() == 0.0
+        block.inverse(big, big)
+    x, v = block.inverse(big, big, velocity=False)
+    assert x.item() == 0.0 and v is None
 
 
 def test_reversible_requires_positive_gamma():
-    with pytest.raises(NotInvertibleError):
+    with pytest.raises(ConfigError, match="mode"):
         MomentumChain([MomentumBlock(0.0, zero_f())], REVERSIBLE)
     with pytest.raises(NotInvertibleError):
-        MomentumBlock(0.0, zero_f()).inverse(MomentumState(np.zeros((1, 1)), np.zeros((1, 1))))
+        MomentumBlock(0.0, zero_f()).inverse(np.zeros((1, 1)), np.zeros((1, 1)))
 
 
 def test_reversible_chain_rejects_any_gamma_zero_block_at_construction():
     blocks = [MomentumBlock(0.9, zero_f()), MomentumBlock(0.0, zero_f())]
-    with pytest.raises(NotInvertibleError):
+    with pytest.raises(ConfigError, match="mode"):
         MomentumChain(blocks, mode=REVERSIBLE)
     assert MomentumChain(blocks, mode=STORED).mode == STORED
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="mode"):
         MomentumChain(blocks, mode="checkpointed")
+    for gamma in (-0.5, 1.5, np.nan):
+        with pytest.raises(ConfigError, match="gamma"):
+            MomentumChain([MomentumBlock(0.9, zero_f()), MomentumBlock(gamma, zero_f())])
+    with pytest.raises(ConfigError, match="blocks"):
+        MomentumChain([], mode=STORED)
 
 
 # chains
 
 
 def run_blocks(blocks, x0):
-    """The final state of `blocks` from x0 at zero velocity."""
-    state = MomentumState(x0, np.zeros_like(x0))
+    """The final state (x, v) of `blocks` from x0 at zero velocity."""
+    x, v = x0, np.zeros_like(x0)
     for block in blocks:
-        state = block.forward(state)
-    return state
+        x, v = block.forward(x, v)
+    return x, v
 
 
 def test_chain_zero_dynamics_stationary():
     chain = MomentumChain([MomentumBlock(0.5, zero_f()) for _ in range(3)])
     out = chain.forward(np.array([[1.0]]), train=False)
     assert out.item() == pytest.approx(1.0)
-    assert run_blocks(chain.blocks, np.array([[1.0]])).v.item() == pytest.approx(0.0)
+    assert run_blocks(chain.blocks, np.array([[1.0]]))[1].item() == pytest.approx(0.0)
 
 
 def test_chain_gamma_zero_doubles():
@@ -135,10 +140,10 @@ def test_chain_modes_agree_bitwise():
     x_stored = stored.forward(x0.copy(), train=True)
     x_rev = rev.forward(x0.copy(), train=True)
     assert np.array_equal(x_stored, x_rev)
-    final = run_blocks(stored.blocks, x0)
-    assert np.array_equal(final.x, x_stored)
+    x_final, v_final = run_blocks(stored.blocks, x0)
+    assert np.array_equal(x_final, x_stored)
     x_n, v_n = rev.cached_arrays()
-    assert x_n is x_rev and np.array_equal(v_n, final.v)
+    assert x_n is x_rev and np.array_equal(v_n, v_final)
 
 
 def test_chain_backward_frozen_zero_f():
@@ -154,8 +159,7 @@ def test_chain_backward_frozen_zero_f():
 
 def test_backward_step_needs_a_train_mode_f():
     block = MomentumBlock(0.7, conv_f(3))
-    s = MomentumState(rng(4).normal(size=(1, 2, 4, 4)), rng(5).normal(size=(1, 2, 4, 4)))
-    block.inverse(s)
+    block.inverse(rng(4).normal(size=(1, 2, 4, 4)), rng(5).normal(size=(1, 2, 4, 4)))
     with pytest.raises(StateError):
         block.backward_step(np.ones((1, 2, 4, 4)), np.zeros((1, 2, 4, 4)))
 
@@ -180,10 +184,10 @@ def _conv_chain(depth, gamma, mode, dtype=np.float64):
 def test_stored_chain_retains_only_block_inputs():
     chain = MomentumChain([MomentumBlock(0.9, conv_f(seed)) for seed in range(3)], STORED)
     x0 = rng(7).normal(size=(2, 2, 4, 4))
-    state, inputs = MomentumState(x0, np.zeros_like(x0)), []
+    x, v, inputs = x0, np.zeros_like(x0), []
     for block in chain.blocks:
-        inputs.append(state.x)
-        state = block.forward(state)
+        inputs.append(x)
+        x, v = block.forward(x, v)
     chain.forward(x0, train=True)
     held = chain.cached_arrays()
     assert len(held) == 3 and held[0] is x0
@@ -202,10 +206,10 @@ def test_chain_backward_evaluates_each_f_once(mode, monkeypatch):
         calls.append(train)
         return conv_forward(self, x, train=train)
 
-    def counted_inverse(self, state_next, train=False, **kwargs):
-        back = inverse(self, state_next, train=train, **kwargs)
-        inversions.append((train, back.v is not None))
-        return back
+    def counted_inverse(self, x_next, v_next, train=False, **kwargs):
+        x, v = inverse(self, x_next, v_next, train=train, **kwargs)
+        inversions.append((train, v is not None))
+        return x, v
 
     monkeypatch.setattr(Conv2d, "forward", counted)
     monkeypatch.setattr(MomentumBlock, "inverse", counted_inverse)
@@ -253,11 +257,11 @@ def test_reversible_backward_matches_invert_then_recompute_bitwise(gamma, dtype)
     gx = chain.backward(gy)
 
     ref = _conv_chain(depth, gamma, REVERSIBLE, dtype)
-    state = run_blocks(ref.blocks, x0)
+    x, v = run_blocks(ref.blocks, x0)
     gx_ref, gv_ref = gy, np.zeros_like(gy)
     for block in reversed(ref.blocks):
-        state = block.inverse(state)
-        block.f.forward(state.x, train=True)
+        x, v = block.inverse(x, v)
+        block.f.forward(x, train=True)
         gx_ref, gv_ref = block.backward_step(gx_ref, gv_ref)
     assert gx.dtype == dtype and np.array_equal(gx, gx_ref)
     for p, q in zip(chain.params(), ref.params()):
@@ -298,16 +302,15 @@ def test_chain_in_a_sequential_matches_hand_chained_calls(mode):
 def test_train_mode_inverse_returns_the_same_bits(dtype):
     block = MomentumBlock(0.5, conv_f(13, dtype=dtype))
     r = rng(14)
-    s = MomentumState(r.normal(size=(2, 2, 4, 4)).astype(dtype),
-                      r.normal(size=(2, 2, 4, 4)).astype(dtype))
-    eval_back = block.inverse(s)
+    s = (r.normal(size=(2, 2, 4, 4)).astype(dtype), r.normal(size=(2, 2, 4, 4)).astype(dtype))
+    eval_x, eval_v = block.inverse(*s)
     assert block.f.cache_size() == 0
-    train_back = block.inverse(s, train=True)
+    train_x, train_v = block.inverse(*s, train=True)
     assert block.f.cache_size() > 0
-    assert np.array_equal(train_back.x, eval_back.x)
-    assert np.array_equal(train_back.v, eval_back.v)
-    x_only = block.inverse(s, velocity=False)
-    assert x_only.v is None and np.array_equal(x_only.x, eval_back.x)
+    assert np.array_equal(train_x, eval_x)
+    assert np.array_equal(train_v, eval_v)
+    x_only, no_v = block.inverse(*s, velocity=False)
+    assert no_v is None and np.array_equal(x_only, eval_x)
 
 
 def test_backward_without_forward_raises():
@@ -323,12 +326,12 @@ def test_float32_roundtrip_error_documented():
     for j in range(10):
         f = build_residual_function(2, rng(700 + j), dtype=np.float32)
         blocks.append(MomentumBlock(0.9, f))
-    s = MomentumState(r.normal(size=(1, 2, 4, 4)).astype(np.float32),
-                      r.normal(size=(1, 2, 4, 4)).astype(np.float32))
-    state = s
+    x0 = r.normal(size=(1, 2, 4, 4)).astype(np.float32)
+    v0 = r.normal(size=(1, 2, 4, 4)).astype(np.float32)
+    x, v = x0, v0
     for b in blocks:
-        state = b.forward(state)
+        x, v = b.forward(x, v)
     for b in reversed(blocks):
-        state = b.inverse(state)
-    err = max(np.abs(state.x - s.x).max(), np.abs(state.v - s.v).max())
+        x, v = b.inverse(x, v)
+    err = max(np.abs(x - x0).max(), np.abs(v - v0).max())
     assert err <= 1e-3
