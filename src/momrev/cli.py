@@ -27,7 +27,7 @@ from . import memprofile as memprofile_mod
 from . import metrics as metrics_mod
 from . import train as train_mod
 from . import verify as verify_mod
-from .errors import ConfigError, DataError, NotInvertibleError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -174,7 +174,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, NotInvertibleError, ShapeError) as exc:
+    except (ConfigError, ShapeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:

@@ -168,8 +168,13 @@ def load_sample_dir(path) -> list[Sample]:
     labels_file = path / "labels.csv"
     if labels_file.exists():
         with open(labels_file, newline="") as fh:
-            for row in csv.DictReader(fh):
-                labels[row["id"]] = int(row["label"])
+            rows = csv.DictReader(fh)
+            for row in rows:
+                try:
+                    labels[row["id"]] = int(row["label"])
+                except (KeyError, TypeError, ValueError):
+                    where = f"{labels_file}, line {rows.line_num}"
+                    raise DataError(f"{where}: needs an id and an integer label") from None
     samples = []
     for f in image_files:
         sid = f.name[: -len(".image.mrt1")]

@@ -21,9 +21,5 @@ class NumericError(MomrevError):
     """A computation produced (or was handed) non-finite values."""
 
 
-class NotInvertibleError(MomrevError):
-    """Inversion requested for a block with gamma == 0."""
-
-
 class StateError(MomrevError):
     """Backward called without a matching pending forward."""

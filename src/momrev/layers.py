@@ -122,9 +122,9 @@ class Linear(Layer):
 
 class Conv2d(Layer):
     """Same-padded, stride-1 k x k convolution (k odd): B x C_in x H x W ->
-    B x C_out x H x W. See `tensor.conv2d_batched`. Backward's input gradient
-    is that same kernel run on the output gradient with the weights flipped
-    in space and their channel axes swapped."""
+    B x C_out x H x W. It holds the parameters and the cache; the forward,
+    the input gradient and the weight gradient all run in `tensor`, on one
+    flat padded grid (`tensor.conv2d_batched`, `tensor.conv2d_backward`)."""
 
     def __init__(self, c_in, c_out, k, *, rng, init="xavier", dtype=np.float64,
                  name="conv"):
@@ -149,25 +149,10 @@ class Conv2d(Layer):
         return y
 
     def backward(self, gy):
-        x = self._take_cache()
-        co, ci, kh, kw = self.w.value.shape
-        b, _, h, w = gy.shape
-        xf, hp, wp = tensor.flat_padded(x, kh)
-        xp = xf.reshape(b, hp, wp, ci)  # channels-last, padded
-        gy_by_channel = gy.transpose(1, 0, 2, 3).reshape(co, -1)
-        for i in range(kh):
-            for j in range(kw):
-                # an unnamed patch dies here; a named one would outlive the loop
-                self.w.grad[:, :, i, j] += np.dot(
-                    gy_by_channel, xp[:, i : i + h, j : j + w].reshape(-1, ci)
-                )
-        del xf, xp, gy_by_channel
+        gx, gw = tensor.conv2d_backward(self._take_cache(), gy, self.w.value)
+        self.w.grad += gw
         self.b.grad += gy.sum(axis=(0, 2, 3))
-        # the input gradient is the same conv on gy with the kernel flipped in
-        # space and its channel axes swapped; the kernel bounds its own
-        # transients by working through the batch a group of images at a time
-        w_t = self.w.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        return tensor.conv2d_batched(gy, w_t)
+        return gx
 
 
 class ReLU(Layer):

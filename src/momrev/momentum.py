@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, NotInvertibleError, NumericError
+from .errors import ConfigError, NumericError
 from .layers import Layer, Sequential, build_residual_function
 
 STORED = "stored"
@@ -74,8 +74,6 @@ class MomentumBlock:
         """The block input (x, v); in train mode f keeps the caches of f(x)
         for `backward_step`, and the result is the same either way. With
         `velocity=False` v is not rebuilt and comes back as None."""
-        if self.gamma == 0.0:
-            raise NotInvertibleError("gamma == 0 block has no inverse")
         x = x_next - v_next
         fx = self.f.forward(x, train=train)
         v = (v_next - (1.0 - self.gamma) * fx) / self.gamma if velocity else None

@@ -2,16 +2,13 @@
 
 Tensors are plain numpy arrays (row-major, channels-first for images).
 float64 is the verification default; float32 is used for training speed.
-This module holds the convolution kernel and tensor serialization. The one
-kernel serves layers.Conv2d's forward and its input gradient, which is the
-same convolution on the output gradient with a flipped, transposed kernel.
-Every convolution the networks build is stride 1 and same-padded (an odd
-k x k kernel padded by k // 2), so the output keeps the input's H x W; only
-MaxPool2 and Upsample2 change sizes. The kernel works on a flat padded
-buffer (`flat_padded`) in which each kernel offset is a contiguous row
-slice, so it copies no patches, and it builds that buffer for one group of
-whole images at a time (`GROUP_BYTES`), so its transients stay cache-sized
-at any batch size.
+This module holds all of layers.Conv2d's arithmetic. Every convolution the
+networks build is stride 1 and same-padded (an odd k x k kernel padded by
+k // 2). The forward, the input gradient (the same kernel on the output
+gradient, flipped and transposed) and the weight gradient all run on one
+flat padded grid (`flat_padded`), in which each kernel offset is a
+contiguous row slice, so none copies a patch; the forward kernel builds it
+for one group of whole images at a time (`GROUP_BYTES`).
 """
 
 from __future__ import annotations
@@ -42,13 +39,11 @@ GROUP_BYTES = 512 * 1024
 def conv2d_batched(inp: Tensor, kernels: Tensor) -> Tensor:
     """Same-padded, stride-1 cross-correlation, B x C_in x H x W -> B x C_out x H x W.
 
-    The kernel is k x k with k odd, padded by k // 2 on every side. It is
-    `Conv2d`'s forward, and with the kernel flipped in space and its channel
-    axes swapped, `Conv2d`'s input gradient. One matrix product per kernel
-    offset over the padded grid (see `flat_padded`): output row r of the
-    grid sums, over offsets (i, j), row r + i*W' + j of the input times that
-    offset's kernel, where that row exists. Rows anchored in the padding are
-    then dropped.
+    The kernel is k x k with k odd, padded by k // 2 on every side: one
+    matrix product per kernel offset over the padded grid (see
+    `flat_padded`). Output row r of the grid sums, over offsets (i, j), row
+    r + i*W' + j of the input times that offset's kernel, where that row
+    exists; rows anchored in the padding are then dropped.
 
     The grid is built for as many whole images as fit `GROUP_BYTES` at a
     time, each group written into the result. A row's products and their
@@ -79,6 +74,27 @@ def conv2d_batched(inp: Tensor, kernels: Tensor) -> Tensor:
         result[start : start + group] = grid[:, :h, :w].transpose(0, 3, 1, 2)
         del xf, out, grid  # free this group's buffers before the next group's
     return result
+
+
+def conv2d_backward(inp: Tensor, gy: Tensor, kernels: Tensor):
+    """The gradients (gx, gw) of `conv2d_batched(inp, kernels)` for output
+    gradient gy. inp and gy are padded once each; row r + s of gy's grid,
+    s = p*(W' + 1), is output row r's gradient, zero where row r is anchored
+    in the padding, so gw's offset (i, j) is gy's rows from s on times inp's
+    rows from i*W' + j on. Once both grids are freed, gx is the forward
+    kernel run on gy with the kernel flipped in space and its channels swapped.
+    """
+    k = kernels.shape[-1]
+    xf, _, wp = flat_padded(inp, k)
+    gf, _, _ = flat_padded(gy, k)
+    n, s = len(xf), (k // 2) * (wp + 1)
+    gw = np.empty_like(kernels)
+    for i, j in np.ndindex(k, k):
+        off = i * wp + j
+        m = n - max(off, s)
+        gw[:, :, i, j] = np.dot(gf[s : s + m].T, xf[off : off + m])
+    del xf, gf
+    return conv2d_batched(gy, kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)), gw
 
 
 def flat_padded(inp: Tensor, k: int):

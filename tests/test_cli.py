@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from momrev import cli, network, verify
+from momrev import cli, data, network, verify
 from momrev.errors import NumericError
 from momrev.optim import Adam
 from momrev.train import TrainConfig, classification_defaults, segmentation_defaults
@@ -220,6 +220,28 @@ def test_missing_data_dir_exit_code(tmp_path, capsys):
     code, _, err = run(["train", "--config", str(path)], capsys)
     assert code == 3
     assert "data error" in err
+
+
+@pytest.mark.parametrize("header,row", [("id,label", "{sid},two"), ("id,class", "{sid},1")])
+def test_malformed_labels_csv_exit_code(tmp_path, capsys, header, row):
+    """A non-integer label or a missing column is a data error naming the
+    file and the line, not a traceback."""
+    samples = data.gen_blobs_cls(4, k_classes=2, hw=8, seed=1)
+    data.save_dataset(samples, tmp_path / "data")
+    lines = (tmp_path / "data" / "labels.csv").read_text().splitlines()
+    lines[0], lines[2] = header, row.format(sid=samples[1].id)
+    (tmp_path / "data" / "labels.csv").write_text("\n".join(lines) + "\n")
+    cfg = classification_defaults(
+        network=dict(task="classification", input_shape=[1, 8, 8],
+                     stages=[dict(width=4, blocks=1)], num_classes=2),
+        data=dict(generator="dir", path=str(tmp_path / "data")),
+        epochs=1, out_dir=str(tmp_path / "run"),
+    )
+    path = tmp_path / "config.json"
+    path.write_text(cfg.to_json())
+    code, _, err = run(["train", "--config", str(path)], capsys)
+    assert code == 3
+    assert err.startswith("data error:") and "labels.csv, line " in err
 
 
 def test_flag_overrides_written_to_resolved_config(tmp_path, capsys):

@@ -3,7 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
-from momrev.errors import ConfigError, NotInvertibleError, NumericError, StateError
+from momrev.errors import ConfigError, NumericError, StateError
 from momrev.layers import Conv2d, Linear, Sequential, build_residual_function
 from momrev.momentum import (
     REVERSIBLE,
@@ -91,7 +91,8 @@ def test_inverse_refuses_a_velocity_that_overflows_from_finite_x():
 def test_reversible_requires_positive_gamma():
     with pytest.raises(ConfigError, match="mode"):
         MomentumChain([MomentumBlock(0.0, zero_f())], REVERSIBLE)
-    with pytest.raises(NotInvertibleError):
+    # called directly, the division by gamma = 0 leaves v non-finite
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="inverse"):
         MomentumBlock(0.0, zero_f()).inverse(np.zeros((1, 1)), np.zeros((1, 1)))
 
 
