@@ -310,11 +310,44 @@ class Sequential(Layer):
         return gy
 
     def clear_cache(self):
+        super().clear_cache()
         for layer in self.layers:
             layer.clear_cache()
 
     def cached_arrays(self):
-        return [a for layer in self.layers for a in layer.cached_arrays()]
+        return super().cached_arrays() + [a for layer in self.layers
+                                          for a in layer.cached_arrays()]
+
+
+class Recompute(Sequential):
+    """A `Sequential` that checkpoints itself: a train-mode forward caches
+    only its input (an array or a tuple) and runs the layers in eval mode;
+    backward runs them again in train mode on that input, then backward
+    through them. It pays where the input is held anyway."""
+
+    def forward(self, x, train=True):
+        if train:
+            self._cache = x
+        return super().forward(x, train=False)
+
+    def backward(self, gy):
+        super().forward(self._take_cache(), train=True)
+        for layer in reversed(self.layers):  # super().backward(gy) would keep gy alive here
+            gy = layer.backward(gy)
+        return gy
+
+
+class OnFirst(Sequential):
+    """Runs its layers on the first array of a pair and passes the second
+    through, in forward and in backward."""
+
+    def forward(self, pair, train=True):
+        x, other = pair
+        return super().forward(x, train=train), other
+
+    def backward(self, g_pair):
+        g, g_other = g_pair
+        return super().backward(g), g_other
 
 
 def sigmoid(z):

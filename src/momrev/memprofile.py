@@ -4,7 +4,9 @@ A ledger counts scalars retained past the operation that produced them
 during one train-mode forward pass. A network is one list of parts, and
 the ledger splits their caches by part type: a momentum chain's cache is
 the states its mode holds, every other part's is a transition's or the
-head's. These caches are the only places a forward keeps activations.
+head's (between reversible chains a transition recomputes, so its cache
+is its input: the batch or a chain's output). These caches are the only
+places a forward keeps activations.
 Each category counts distinct buffers, and the total counts a buffer held
 in both (a reversible chain's output that the next layer caches, a ReLU
 output that a stored chain keeps as its first state) once, so the total
@@ -21,7 +23,8 @@ gamma = 0, which cannot invert), on a batch of the run's size and dtype,
 next to `peak_bytes`: the `tracemalloc` peak over that forward and
 backward, in real bytes, transients and gradients included (the batch and
 the parameters are allocated before it starts, and an untraced warm-up
-pass keeps the process's one-time allocations out of the first row).
+pass keeps the process's one-time allocations out of the first row), and
+`peak_at`, the part and phase that set it (`PeakLog`).
 """
 
 from __future__ import annotations
@@ -34,7 +37,45 @@ import numpy as np
 from . import network as network_mod
 
 LEDGER_COLUMNS = ["depth", "mode", "chain_states", "f_transient_peak",
-                  "transitions", "total", "peak_bytes"]
+                  "transitions", "total", "peak_bytes", "peak_at"]
+
+
+class PeakLog:
+    """Where the `tracemalloc` peak is set. Each forward and backward of a
+    part is a window, and so is the code between two of them; a window
+    starts with `reset_peak`, so the largest window peak is the trace's
+    peak. `at` names that window: `<part>/<phase>`, or `after
+    <part>/<phase>`. A part is named by its parameters' prefixes (`enc0`,
+    `up0+fuse0`). Labels and wrappers are made before tracing starts, and a
+    wrapper keeps no reference to the argument of the part it runs."""
+
+    def __init__(self, net):
+        self.bytes, self.at, self.gap = 0, "", "start"
+        self.box = [None]
+        self.box.pop()  # capacity 1 is kept: moving an argument through allocates nothing
+        for part in net.parts():
+            name = "+".join(dict.fromkeys(p.name.split(".")[0] for p in part.params()))
+            part.forward = self._window(part.forward, f"{name}/forward")
+            part.backward = self._window(part.backward, f"{name}/backward")
+
+    def close(self, label):
+        peak = tracemalloc.get_traced_memory()[1]
+        if peak > self.bytes:
+            self.bytes, self.at = peak, label
+        tracemalloc.reset_peak()
+
+    def _window(self, method, label):
+        box, after = self.box, f"after {label}"
+
+        def run(x, train=None):  # forward(x, train=...) or backward(gy)
+            self.close(self.gap)
+            box.append(x)
+            del x  # box.pop() hands x over, so this frame does not keep it alive
+            out = method(box.pop()) if train is None else method(box.pop(), train)
+            self.close(label)
+            self.gap = after
+            return out
+        return run
 
 
 def profile_forward(net, batch: np.ndarray) -> network_mod.MemoryLedger:
@@ -72,12 +113,13 @@ def compare_modes(descriptor: network_mod.NetworkDescriptor, batch: np.ndarray,
     for depth in depths:
         for mode in modes:
             net = net_for(depth, mode)
+            log = PeakLog(net)
             tracemalloc.start()
             try:
                 ledger = profile_forward(net, batch)
-                peak = tracemalloc.get_traced_memory()[1]
+                log.close(log.gap)
             finally:
                 tracemalloc.stop()
             rows.append([depth, mode, ledger.chain_states, ledger.f_transient_peak,
-                         ledger.transitions, ledger.total, peak])
+                         ledger.transitions, ledger.total, log.bytes, log.at])
     return rows

@@ -15,16 +15,24 @@ Two toy architectures share the same building blocks, each one
 
 A momentum chain is a layer, so a network's parts are one list: the
 body's layers with each level expanded, that is the chains and the
-layers between them. A train-mode forward holds activations only in
-their caches (a chain's cache is each block input or the final state its
-mode holds), which are also the only record of a pending backward. Layer
-caches hold no copies: each conv and pool keeps its input (the up conv's
-before upsampling), the fuse conv its parts (the up ReLU's output and the
-skip) and each ReLU its output, so every chain output is also a layer's
-cache. `train_backward` consumes the caches as it goes, so each
-activation is freed once backward has read it for the last time; without
-a pending train-mode predict the head finds no cache and raises
-StateError before any gradient moves.
+layers between them (the segmenter's up and fuse convs are one part). A
+train-mode forward holds activations only in their caches (a chain's
+cache is each block input or the final state its mode holds), which are
+also the only record of a pending backward. Layer caches hold no copies.
+A transition between reversible chains, and the stem before one, is a
+`Recompute`: it caches only its input, the batch or chain outputs that
+the chains hold anyway, and runs its layers again in backward (Chen et
+al. 2016's checkpointing at stage granularity). So a reversible network
+holds its chain states, the batch and the head's input: on the float32
+presets 671,744 floats (segmentation) and 205,312 (classification) at
+any depth, against 1,163,264 and 401,920 in stored mode at depth 2.
+Next to a stored chain a transition keeps its own caches: each conv and
+pool its input (the up conv's before upsampling), the fuse conv its parts
+(the up ReLU's output and the skip) and each ReLU its output, so every
+chain output is also a layer's cache. `train_backward` consumes the
+caches as it goes, so each activation is freed once backward has read it
+for the last time; without a pending train-mode predict the head finds
+no cache and raises StateError before any gradient moves.
 """
 
 from __future__ import annotations
@@ -44,6 +52,8 @@ from .layers import (
     Layer,
     Linear,
     MaxPool2,
+    OnFirst,
+    Recompute,
     ReLU,
     Sequential,
     UpConv2d,
@@ -51,7 +61,7 @@ from .layers import (
     load_checkpoint,
     save_checkpoint,
 )
-from .momentum import MomentumChain, build_chain, check_stage
+from .momentum import REVERSIBLE, MomentumChain, build_chain, check_stage
 
 
 def check_field_types(cfg, prefix=""):
@@ -129,24 +139,32 @@ class MemoryLedger:
 
 
 class UNetLevel(Sequential):
-    """One U-Net level, `layers = [enc, down, inner, up, fuse, dec]`:
-    enc -> down -> inner -> up, fused with the skip (enc's output), then
-    dec. `inner` is the next level or, at the bottom, the last encoder
-    chain. The skip and its gradient fan-out live here and nowhere else,
-    and the level stores no array: the layers that read the skip cache it."""
+    """One U-Net level, `layers = [enc, down, inner, up, dec]`: enc -> down
+    -> inner -> up, which takes the pair (inner output, skip), upsamples the
+    first and fuses it with the skip (enc's output), then dec.
+    `inner` is the next level or, at the bottom, the last encoder chain.
+    The skip and its gradient fan-out live here and nowhere else, and the
+    level stores no array: the parts that read the skip cache it."""
 
     def forward(self, x, train=True):
-        enc, down, inner, up, fuse, dec = self.layers
+        enc, down, inner, up, dec = self.layers
         skip = enc.forward(x, train=train)
-        y = up.forward(inner.forward(down.forward(skip, train=train), train=train),
-                       train=train)
-        return dec.forward(fuse.forward((y, skip), train=train), train=train)
+        y = inner.forward(down.forward(skip, train=train), train=train)
+        return dec.forward(up.forward((y, skip), train=train), train=train)
 
     def backward(self, gy):
-        enc, down, inner, up, fuse, dec = self.layers
-        g, g_skip = fuse.backward(dec.backward(gy))
-        g = down.backward(inner.backward(up.backward(g)))
+        enc, down, inner, up, dec = self.layers
+        g, g_skip = up.backward(dec.backward(gy))
+        g = down.backward(inner.backward(g))
         return enc.backward(g + g_skip)  # fan-out: down path + skip path
+
+
+def transition(layers, *stages):
+    """The part made of `layers` between chains of `stages`: a `Recompute`
+    when every one of those stages is reversible, since its input is then
+    the batch or arrays the chains hold anyway; next to a stored chain a
+    `Sequential` that keeps its own caches."""
+    return (Recompute if all(s.mode == REVERSIBLE for s in stages) else Sequential)(layers)
 
 
 def _expand(layers) -> list[Layer]:
@@ -217,16 +235,16 @@ class ClassifierNet(Network):
         super().__init__(descriptor)
         c_in = descriptor.input_shape[0]
         stages = descriptor.stages
-        parts = [Sequential([Conv2d(c_in, stages[0].width, 3, rng=rng, init="he",
-                                    dtype=dtype, name="stem.conv"), ReLU()])]
+        parts = [transition([Conv2d(c_in, stages[0].width, 3, rng=rng, init="he",
+                                    dtype=dtype, name="stem.conv"), ReLU()], stages[0])]
         for i, s in enumerate(stages):
             parts.append(
                 build_chain(s.width, s.blocks, s.gamma, s.mode, rng, dtype, f"enc{i}"))
             if i + 1 < len(stages):
-                parts.append(Sequential(
+                parts.append(transition(
                     [Conv2d(s.width, stages[i + 1].width, 3, rng=rng,
                             init="he", dtype=dtype, name=f"down{i}.conv"),
-                     ReLU(), MaxPool2()]))
+                     ReLU(), MaxPool2()], s, stages[i + 1]))
         parts.append(Sequential(
             [GlobalAvgPool(),
              Linear(stages[-1].width, descriptor.num_classes, rng=rng, dtype=dtype,
@@ -250,21 +268,22 @@ class SegmenterNet(Network):
             if i + 1 == len(stages):
                 return enc
             w_inner = stages[i + 1].width
-            down = Sequential([MaxPool2(),
+            down = transition([MaxPool2(),
                                Conv2d(s.width, w_inner, 3, rng=rng, init="he",
                                       dtype=dtype, name=f"down{i}.conv"),
-                               ReLU()])
+                               ReLU()], s, stages[i + 1])
             inner = level(i + 1)
-            up = Sequential([UpConv2d(w_inner, s.width, 3, rng=rng, init="he",
-                                      dtype=dtype, name=f"up{i}.conv"), ReLU()])
-            fuse = Sequential([FuseConv2d(2 * s.width, s.width, 3, rng=rng, init="he",
-                                          dtype=dtype, name=f"fuse{i}.conv"), ReLU()])
+            up = transition([OnFirst([UpConv2d(w_inner, s.width, 3, rng=rng, init="he",
+                                               dtype=dtype, name=f"up{i}.conv"), ReLU()]),
+                             FuseConv2d(2 * s.width, s.width, 3, rng=rng, init="he",
+                                        dtype=dtype, name=f"fuse{i}.conv"),
+                             ReLU()], s, stages[i + 1])
             dec = build_chain(s.width, s.blocks, s.gamma, s.mode, rng, dtype, f"dec{i}")
-            return UNetLevel([enc, down, inner, up, fuse, dec])
+            return UNetLevel([enc, down, inner, up, dec])
 
         self.body = Sequential(
-            [Sequential([Conv2d(c_in, stages[0].width, 3, rng=rng, init="he",
-                                dtype=dtype, name="stem.conv"), ReLU()]),
+            [transition([Conv2d(c_in, stages[0].width, 3, rng=rng, init="he",
+                                dtype=dtype, name="stem.conv"), ReLU()], stages[0]),
              level(0),
              Conv2d(stages[0].width, 1, 1, rng=rng, init="xavier", dtype=dtype,
                     name="head.conv")])

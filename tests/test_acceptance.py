@@ -62,12 +62,17 @@ def test_memory_ledger_scaling():
     depths = [1, 2, 4, 8, 16]
     want = {(n, "stored"): n * (2 * s0 + s1) for n in depths}
     want.update({(n, "reversible"): 2 * (2 * s0 + s1) for n in depths})
+    # beside its states a reversible network holds only the batch
+    want.update({(n, "reversible total"): 2 * (2 * s0 + s1) + batch.size for n in depths})
     rows = [dict(zip(memprofile.LEDGER_COLUMNS, row))
             for row in memprofile.compare_modes(desc, batch, depths)]
     got = {(row["depth"], row["mode"]): row["chain_states"] for row in rows}
+    got.update({(row["depth"], "reversible total"): row["total"]
+                for row in rows if row["mode"] == "reversible"})
     report(VerifyResult("memory-ledger", got == want,
                         "segmentation preset: reversible retention constant at 655,360, "
-                        "stored exactly n*(2*S0 + S1) = n*327,680 over depths 1..16"))
+                        "total 671,744 with the batch; stored exactly n*(2*S0 + S1) = "
+                        "n*327,680 over depths 1..16"))
 
 
 def test_metric_oracles_thousand_cases():

@@ -178,7 +178,7 @@ def test_memprofile_csv(tmp_path, capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == ("depth,mode,chain_states,f_transient_peak,transitions,total,"
-                        "peak_bytes")
+                        "peak_bytes,peak_at")
     assert [l.split(",")[:2] for l in lines[1:]] == [
         ["1", "stored"], ["1", "reversible"], ["2", "stored"], ["2", "reversible"]]
     assert (tmp_path / "memprofile.csv").read_text() == out

@@ -70,6 +70,26 @@ def test_cache_size_counts_a_shared_buffer_once():
     assert len(f.cached_arrays()) == 3
 
 
+def test_recompute_caches_only_its_input_and_matches_sequential():
+    # the segmenter's up+fuse part: a pair in, a pair of gradients out
+    def up_fuse(cls, seed):
+        r = rng(seed)
+        return cls([layers.OnFirst([layers.UpConv2d(3, 2, 3, rng=r), layers.ReLU()]),
+                    layers.FuseConv2d(4, 2, 3, rng=r), layers.ReLU()])
+
+    pair = (rng(23).normal(size=(2, 3, 2, 3)), rng(24).normal(size=(2, 2, 4, 6)))
+    gy = rng(25).normal(size=(2, 2, 4, 6))
+    rec, ref = up_fuse(layers.Recompute, 26), up_fuse(layers.Sequential, 26)
+    assert np.array_equal(rec.forward(pair), ref.forward(pair))
+    held = rec.cached_arrays()
+    assert len(held) == 2 and all(a is b for a, b in zip(held, pair))
+    for g, want in zip(rec.backward(gy), ref.backward(gy)):
+        assert np.array_equal(g, want)
+    for p, q in zip(rec.params(), ref.params()):
+        assert np.array_equal(p.grad, q.grad), p.name
+    assert rec.cached_arrays() == []
+
+
 def test_up_conv_is_upsample_then_conv_caching_the_small_input():
     x = rng(20).normal(size=(2, 3, 3, 4))
     gy = rng(21).normal(size=(2, 2, 6, 8))
@@ -237,12 +257,14 @@ def _layer_cases(r):
     cases.append((layers.Upsample2(), r.normal(size=(2, 2, 3, 3))))
     cases.append((layers.GlobalAvgPool(), r.normal(size=(2, 3, 4, 4))))
     cases.append((layers.UpConv2d(2, 3, 3, rng=r), r.normal(size=(2, 2, 3, 3))))
+    cases.append((layers.Recompute([layers.Conv2d(2, 2, 3, rng=r), layers.ReLU(),
+                                    layers.MaxPool2()]), r.normal(size=(2, 2, 4, 4))))
     return cases
 
 
 @pytest.mark.parametrize("case", range(13))
 def test_layer_gradients_match_finite_differences(case):
-    # 13 parametrized rounds x 9 layers > 100 random gradient checks
+    # 13 parametrized rounds x 10 layers > 100 random gradient checks
     r = rng(100 + case)
     for layer, x in _layer_cases(r):
         w = r.normal(size=layer.forward(x, train=False).shape)

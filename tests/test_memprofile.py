@@ -50,16 +50,23 @@ def test_stored_chain_memory_is_one_state_size_per_block(blocks):
 def test_reversible_chain_memory_is_constant(blocks):
     ledger = preset_ledger(train.classification_defaults(), "reversible", blocks)
     assert ledger.chain_states == 2 * CLS_STATES
+    # beside the states only the batch (32*1*16*16) and the head's pooled
+    # input (32*16) stay held: the transitions recompute in backward
+    assert ledger.total == 2 * CLS_STATES + 32 * 16 * 16 + 32 * 16 == 205_312
 
 
-def test_transient_peak_and_fixed_costs_match_across_modes():
+def test_transient_peak_matches_and_transitions_pinned_across_modes():
     state = 2 * 4 * 8 * 8
+    batch, head = 2 * 1 * 8 * 8, 2 * 4  # the stem's input; the linear head's
     for blocks in (1, 4):
         a = ledger_for("stored", blocks)
         b = ledger_for("reversible", blocks)
         # conv1's input and the ReLU output conv2 reads
         assert a.f_transient_peak == b.f_transient_peak == 2 * state
-        assert a.transitions == b.transitions
+        # stored: the stem conv's input and its ReLU output (the chain's x_0);
+        # reversible: the stem recomputes from the batch, so only that stays
+        assert a.transitions == batch + state + head == 648
+        assert b.transitions == batch + head == 136
     # backward measures the peak, so an eval forward leaves it as it is
     net = network.build(chain_descriptor("reversible", 2), seed=0)
     memprofile.profile_forward(net, rng(1).normal(size=(2, 1, 8, 8)))
@@ -121,13 +128,15 @@ def test_backward_frees_activations_at_last_read():
         batch = rng(3).normal(size=(4, 1, 16, 16))
         logits = net.predict(batch, train=True)
         g = rng(4).normal(size=logits.shape)
-        held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         net.train_backward(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - held < 8 * state_bytes
+    # the whole backward, the held states and the batch included, stays
+    # below 14 state arrays; a forward that kept the transitions' caches
+    # would not
+    assert peak < 14 * state_bytes
 
 
 def test_profile_clears_caches():
@@ -162,12 +171,17 @@ def test_compare_modes_rows_and_scaling():
     rows = memprofile.compare_modes(desc, batch, depths)
     assert len(rows) == 2 * len(depths)
     by = {(r[0], r[1]): dict(zip(memprofile.LEDGER_COLUMNS, r)) for r in rows}
+    s0, s1, images = 16 * 8 * 32 * 32, 16 * 16 * 16 * 16, 16 * 1 * 32 * 32
     for d in depths:
         assert (by[(d, "stored")]["f_transient_peak"]
                 == by[(d, "reversible")]["f_transient_peak"])
-        assert by[(d, "stored")]["transitions"] == by[(d, "reversible")]["transitions"]
+        assert by[(d, "stored")]["transitions"] == 835_584
+        # the batch, and the chain outputs that the recomputing transitions
+        # and the head hold: enc0's and dec0's (S0 each) and enc1's (S1)
+        assert by[(d, "reversible")]["transitions"] == images + 2 * s0 + s1 == 344_064
     for row in by.values():
         assert row["peak_bytes"] >= row["total"] * batch.itemsize
+        assert row["peak_at"].endswith("/backward")
 
 
 def test_ledger_csv_roundtrip():
@@ -178,7 +192,7 @@ def test_ledger_csv_roundtrip():
     assert len(parsed) == len(rows)
     for got, want in zip(parsed, rows):
         for col, value in zip(memprofile.LEDGER_COLUMNS, want):
-            if col == "mode":
+            if col in ("mode", "peak_at"):
                 assert got[col] == value
             else:
                 assert int(got[col]) == value

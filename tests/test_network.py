@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from momrev import network
 from momrev.errors import ConfigError, ShapeError, StateError
-from momrev.layers import load_checkpoint, save_checkpoint
+from momrev.layers import Recompute, load_checkpoint, save_checkpoint
 from momrev.momentum import MomentumChain
 from momrev.verify import fd_grad, rel_err
 from util import rng
@@ -160,17 +162,33 @@ def test_end_to_end_parameter_gradients_match_fd(seed):
 
 
 def test_stored_vs_reversible_full_net_gradients():
+    # mixed modes too: a transition recomputes only between reversible chains
     batch = rng(6).normal(size=(2, 1, 32, 32))
     w = rng(7).normal(size=(2, 1, 32, 32))
     grads = {}
-    for mode in ("stored", "reversible"):
+    for modes in itertools.product(("stored", "reversible"), repeat=2):
         desc = seg_descriptor()
-        for s in desc.stages:
+        for s, mode in zip(desc.stages, modes):
             s.mode = mode
         net = network.build(desc, seed=13)
         _input_grad(net, batch, w)
-        grads[mode] = np.concatenate([p.grad.ravel() for p in net.params()])
-    assert rel_err(grads["stored"], grads["reversible"]) <= 1e-8
+        grads[modes] = np.concatenate([p.grad.ravel() for p in net.params()])
+    for modes, g in grads.items():
+        assert rel_err(grads[("stored", "stored")], g) <= 1e-8, modes
+
+
+@pytest.mark.parametrize("task", ["classification", "segmentation"])
+def test_transitions_recompute_exactly_between_reversible_chains(task):
+    # stem, down0 and the segmenter's up0+fuse0 part, by which stages they touch
+    for modes in itertools.product(("stored", "reversible"), repeat=2):
+        desc = seg_descriptor(task=task)
+        for s, mode in zip(desc.stages, modes):
+            s.mode = mode
+        net = network.build(desc, seed=1)
+        rest = [p for p in net.parts()[:-1] if not isinstance(p, MomentumChain)]
+        both = modes == ("reversible", "reversible")
+        want = [modes[0] == "reversible"] + [both] * (len(rest) - 1)
+        assert [isinstance(p, Recompute) for p in rest] == want, modes
 
 
 def test_skip_fanout_gradient_sums_both_paths():
@@ -286,18 +304,26 @@ def unet_levels(layers):
 def test_train_forward_holds_activations_only_in_layer_caches_and_chain_states():
     # neither the network nor a level may keep an activation (the skip, say)
     # as an attribute: it would sit outside the caches the ledger audits
-    for make in (micro_seg_descriptor, micro_seg3_descriptor):
+    for make, mode in itertools.product((micro_seg_descriptor, micro_seg3_descriptor),
+                                        ("stored", "reversible")):
         desc = make()
         for s in desc.stages:
-            s.mode = "stored"
+            s.mode = mode
         net = network.build(desc, seed=7)
-        net.predict(rng(8).normal(size=(2, 1, 4, 4)), train=True)
+        batch = rng(8).normal(size=(2, 1, 4, 4))
+        net.predict(batch, train=True)
         levels = unet_levels(net.body.layers)
         assert len(levels) == len(desc.stages) - 1
         for owner in [net] + levels:
             for name, value in vars(owner).items():
                 held = value if isinstance(value, list) else [value]
                 assert not any(isinstance(v, np.ndarray) for v in held), name
+        if mode == "reversible":
+            # and what the parts cache is the batch or a chain's state
+            states = [a for c in chains(net) for a in c.cached_arrays()]
+            for part in net.parts():
+                for a in part.cached_arrays():
+                    assert a is batch or any(a is x for x in states), part
 
 
 def test_bad_batch_shape():
