@@ -26,6 +26,15 @@ from the top block down, with one rule: a block runs f on its held input,
 or inverts the state above (RevNet's backward, Gomez et al. 2017). Either
 way it evaluates f once, in train mode, and that f(x) fills the caches
 f.backward reads, so the two modes differ only in what they hold.
+
+A block writes only into buffers that are dead at that point: the result
+f.forward or f.backward has just returned (f keeps no reference to it),
+and in `backward_step` the velocity gradient `gv_next`, which the chain
+made and hands over. It never writes into its input state, an incoming
+`gx_next` or a state the chain holds: a chain's x_0 and x_n belong to its
+caller too. So every value is the same IEEE operation as the out-of-place
+formula, with its operands in the same or the commuted order, and the
+results are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -63,8 +72,9 @@ class MomentumBlock:
 
     def forward(self, x: np.ndarray, v: np.ndarray):
         """The block output (x', v')."""
-        fx = self.f.forward(x, train=False)
-        v_next = self.gamma * v + (1.0 - self.gamma) * fx
+        v_next = self.f.forward(x, train=False)
+        v_next *= 1.0 - self.gamma
+        v_next += self.gamma * v
         x_next = x + v_next
         if not np.all(np.isfinite(x_next)):  # x + v' is non-finite wherever v' is
             raise NumericError("momentum forward produced non-finite state")
@@ -76,7 +86,11 @@ class MomentumBlock:
         `velocity=False` v is not rebuilt and comes back as None."""
         x = x_next - v_next
         fx = self.f.forward(x, train=train)
-        v = (v_next - (1.0 - self.gamma) * fx) / self.gamma if velocity else None
+        v = None
+        if velocity:
+            fx *= 1.0 - self.gamma
+            v = np.subtract(v_next, fx, out=fx)
+            v /= self.gamma
         if not (np.all(np.isfinite(x)) and (v is None or np.all(np.isfinite(v)))):
             raise NumericError("momentum inverse produced non-finite state")
         return x, v
@@ -87,13 +101,17 @@ class MomentumBlock:
 
         Returns (gx, gv). Runs no f of its own, only routes: u = gx' + gv'
         flows into v'; the f path carries (1-gamma)*u through f.backward and
-        the velocity path carries gamma*u.
+        the velocity path carries gamma*u. It takes over `gv_next`: u is
+        formed in its buffer and scaled into gv there, and gx is summed in
+        f.backward's result, so one state array fewer is live while
+        f.backward runs. `gx_next` is only read.
         """
-        u = gx_next + gv_next
-        gx_f = self.f.backward((1.0 - self.gamma) * u)
-        gx = gx_next + gx_f
-        gv = self.gamma * u
-        return gx, gv
+        u = gv_next
+        u += gx_next
+        gx = self.f.backward((1.0 - self.gamma) * u)
+        gx += gx_next
+        u *= self.gamma
+        return gx, u
 
     def params(self):
         return self.f.params()

@@ -14,8 +14,8 @@ from momrev.momentum import (
 from util import rng
 
 
-def zero_f(dim=1):
-    lin = Linear(dim, dim, rng(0), name="z")
+def zero_f(dim=1, dtype=np.float64):
+    lin = Linear(dim, dim, rng(0), dtype=dtype, name="z")
     lin.w.value[...] = 0.0
     return Sequential([lin])
 
@@ -163,6 +163,72 @@ def test_backward_step_needs_a_train_mode_f():
     block.inverse(rng(4).normal(size=(1, 2, 4, 4)), rng(5).normal(size=(1, 2, 4, 4)))
     with pytest.raises(StateError):
         block.backward_step(np.ones((1, 2, 4, 4)), np.zeros((1, 2, 4, 4)))
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bits: -0.0 differs from 0.0 here."""
+    uint = f"u{a.dtype.itemsize}"
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(uint), b.view(uint))
+
+
+def signed_zero_normal(seed, dtype, shape=(2, 2, 4, 4)):
+    """A normal draw whose first two entries are -0.0 and 0.0."""
+    a = rng(seed).normal(size=shape).astype(dtype)
+    a.flat[:2] = -0.0, 0.0
+    return a
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.9])
+def test_block_arithmetic_matches_the_out_of_place_formulas(gamma, dtype):
+    # a block computes in buffers it owns, with the formulas' operations;
+    # f = 0 leaves the zeros' signs to the formulas alone
+    for make_f, shape in ((lambda: conv_f(50, dtype=dtype), (2, 2, 4, 4)),
+                          (lambda: zero_f(dtype=dtype), (4, 1))):
+        block, f = MomentumBlock(gamma, make_f()), make_f()
+        x, v, gx, gv = (signed_zero_normal(seed, dtype, shape) for seed in (51, 52, 53, 54))
+        before = [a.copy() for a in (x, v, gx)]
+        x_next, v_next = block.forward(x, v)
+        v_ref = gamma * v + (1.0 - gamma) * f.forward(x, train=False)
+        assert same_bits(v_next, v_ref) and same_bits(x_next, x + v_ref)
+        if gamma > 0.0:  # a block inverts and runs backward only where gamma > 0
+            x_prev, v_prev = block.inverse(x, v, train=True)
+            x_ref = x - v
+            v_ref = (v - (1.0 - gamma) * f.forward(x_ref, train=True)) / gamma
+            assert same_bits(x_prev, x_ref) and same_bits(v_prev, v_ref)
+            g_x, g_v = block.backward_step(gx, gv.copy())
+            u = gx + gv
+            assert same_bits(g_x, gx + f.backward((1.0 - gamma) * u))
+            assert same_bits(g_v, gamma * u)
+            for p, q in zip(block.params(), f.params()):
+                assert same_bits(p.grad, q.grad), p.name
+        # it takes gv' over, but writes into neither its input state nor gx'
+        assert all(same_bits(a, b) for a, b in zip((x, v, gx), before))
+
+
+@pytest.mark.parametrize("mode", [STORED, REVERSIBLE])
+def test_chain_backward_leaves_its_input_output_and_gradient_as_they_were(mode):
+    chain = _conv_chain(3, 0.9, mode)
+    x0, gy = rng(65).normal(size=(2, 2, 4, 4)), rng(66).normal(size=(2, 2, 4, 4))
+    x_n = chain.forward(x0, train=True)
+    before = [a.copy() for a in (x0, x_n, gy)]
+    chain.backward(gy)
+    assert all(same_bits(a, b) for a, b in zip((x0, x_n, gy), before))
+
+
+@pytest.mark.parametrize("train", [False, True])
+def test_residual_function_returns_buffers_of_its_own(train):
+    # a block writes into f's results, so they must alias nothing else
+    f = conv_f(70)
+    x = rng(71).normal(size=(2, 2, 4, 4))
+    y = f.forward(x, train=train)
+    held = f.cached_arrays()
+    assert len(held) == (3 if train else 0)
+    assert not any(np.shares_memory(y, a) for a in [x, *held])
+    if train:
+        gy = rng(72).normal(size=y.shape)
+        gx = f.backward(gy)
+        assert not any(np.shares_memory(gx, a) for a in [x, y, gy, *held])
 
 
 def test_chain_backward_resnet_endpoint_grads():
