@@ -66,6 +66,13 @@ class Layer:
     Backward consumes the cache, so each cached array is freed as soon as
     backward has read it and nothing else holds it; a second backward
     raises instead of adding the gradients again.
+
+    Gradients are handed on the same way: a caller keeps no reference to a
+    gradient it passes to a part's backward, moving it through a one-slot
+    list (`box.append(g); del g; part.backward(box.pop())`), so the part
+    frees it once read. On CPython >= 3.11 a call takes its arguments off
+    the caller's value stack; on 3.10 the stack keeps them until the call
+    returns, so the results are the same and the memory is not lower.
     """
 
     _cache = None
@@ -305,9 +312,11 @@ class Sequential(Layer):
         return x
 
     def backward(self, gy):
+        box = [gy]
+        del gy  # each gradient is handed on: see `Layer`
         for layer in reversed(self.layers):
-            gy = layer.backward(gy)
-        return gy
+            box.append(layer.backward(box.pop()))
+        return box.pop()
 
     def clear_cache(self):
         super().clear_cache()
@@ -331,10 +340,10 @@ class Recompute(Sequential):
         return super().forward(x, train=False)
 
     def backward(self, gy):
+        box = [gy]
+        del gy
         super().forward(self._take_cache(), train=True)
-        for layer in reversed(self.layers):  # super().backward(gy) would keep gy alive here
-            gy = layer.backward(gy)
-        return gy
+        return super().backward(box.pop())
 
 
 class OnFirst(Sequential):
@@ -346,8 +355,9 @@ class OnFirst(Sequential):
         return super().forward(x, train=train), other
 
     def backward(self, g_pair):
-        g, g_other = g_pair
-        return super().backward(g), g_other
+        box, g_other = [g_pair[0]], g_pair[1]
+        del g_pair
+        return super().backward(box.pop()), g_other
 
 
 def sigmoid(z):

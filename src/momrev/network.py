@@ -31,8 +31,10 @@ pool its input (the up conv's before upsampling), the fuse conv its parts
 (the up ReLU's output and the skip) and each ReLU its output, so every
 chain output is also a layer's cache. `train_backward` consumes the
 caches as it goes, so each activation is freed once backward has read it
-for the last time; without a pending train-mode predict the head finds
-no cache and raises StateError before any gradient moves.
+for the last time, and it hands each gradient on by `layers.Layer`'s
+rule, so no caller keeps a gradient its part has read. Without a pending
+train-mode predict the head finds no cache and raises StateError before
+any gradient moves.
 """
 
 from __future__ import annotations
@@ -153,10 +155,21 @@ class UNetLevel(Sequential):
         return dec.forward(up.forward((y, skip), train=train), train=train)
 
     def backward(self, gy):
+        """Hands each gradient on (see `layers.Layer`). The skip's gradient
+        is summed into `down`'s result, a fresh array that no one else
+        reads, so no part's incoming gradient is written (`momentum.py`'s
+        rule: an incoming `gx` is only read)."""
         enc, down, inner, up, dec = self.layers
-        g, g_skip = up.backward(dec.backward(gy))
-        g = down.backward(inner.backward(g))
-        return enc.backward(g + g_skip)  # fan-out: down path + skip path
+        box = [gy]
+        del gy
+        for part in (dec, up):
+            box.append(part.backward(box.pop()))
+        box[0], g_skip = box[0]  # up's pair: the inner path's and the skip's gradient
+        for part in (inner, down):
+            box.append(part.backward(box.pop()))
+        box[0] += g_skip  # fan-out: down path + skip path
+        del g_skip
+        return enc.backward(box.pop())
 
 
 def transition(layers, *stages):

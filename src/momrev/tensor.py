@@ -86,6 +86,7 @@ def conv2d_backward(inp: Tensor, gy: Tensor, kernels: Tensor):
     """
     k = kernels.shape[-1]
     xf, _, wp = flat_padded(inp, k)
+    del inp  # a copy rebuilt for backward (an upsampled input, a concatenation) dies here
     gf, _, _ = flat_padded(gy, k)
     n, s = len(xf), (k // 2) * (wp + 1)
     gw = np.empty_like(kernels)

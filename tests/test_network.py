@@ -1,9 +1,11 @@
 import itertools
+import sys
+import weakref
 
 import numpy as np
 import pytest
 
-from momrev import network
+from momrev import network, tensor
 from momrev.errors import ConfigError, ShapeError, StateError
 from momrev.layers import Recompute, load_checkpoint, save_checkpoint
 from momrev.momentum import MomentumChain
@@ -264,6 +266,121 @@ def test_backward_frees_every_cache(make):
     assert net.memory_ledger().total == 0
     fs = [b.f for c in chains(net) for b in c.blocks]
     assert all(part.cache_size() == 0 for part in net.parts() + fs)
+
+
+def _part_name(part):
+    return "+".join(dict.fromkeys(p.name.split(".")[0] for p in part.params()))
+
+
+def _around(method, before=None, after=None):
+    """`method` run between `before(arg, train)` and `after(result)`; like
+    `memprofile.PeakLog`'s wrappers it keeps no reference to its argument
+    (a call through `*args` or `**kw` would, in its argument tuple)."""
+    box = []
+
+    def run(x, train=None):  # forward(x, train=...) or backward(gy)
+        if before:
+            before(x, train)
+        box.append(x)
+        del x
+        out = method(box.pop()) if train is None else method(box.pop(), train)
+        if after:
+            after(out)
+        return out
+    return run
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+    "on Python 3.10 a caller's value stack keeps a call's arguments until the "
+    "call returns, so a handed-on gradient lives until its reader returns"))
+@pytest.mark.parametrize("task", ["classification", "segmentation"])
+def test_backward_frees_each_gradient_after_its_reader(task, monkeypatch):
+    refs, dead = {}, {}  # weakrefs by label; each check's outcome
+    pending = []  # a rebuilt copy's label, until its conv computes the input gradient
+
+    def record(label, first=False):
+        # an array, the first of a pair, or both of a pair and what they view
+        def keep(g, train=None):
+            g = g[0] if first else g
+            held = [b for a in g for b in (a, a.base)] if isinstance(g, tuple) else [g]
+            refs[label] = [weakref.ref(a) for a in held if isinstance(a, np.ndarray)]
+        return keep
+
+    def expect_dead(check, label):
+        dead[check] = all(r() is None for r in refs[label])
+
+    def below(name, seq, first=False):  # seq's incoming gradient, once its last layer is done
+        seq.backward = _around(seq.backward, before=record(f"{name} in", first))
+        check = f"{name}'s incoming gradient, below its last layer"
+        seq.layers[-2].backward = _around(seq.layers[-2].backward,
+                                          before=lambda g, train: expect_dead(check, f"{name} in"))
+        return check
+
+    def taking(layer, label):  # records a copy the layer rebuilds for backward
+        take = layer._take_cache
+
+        def run():
+            cache = take()
+            if isinstance(cache, np.ndarray):
+                record(label)(cache)
+                pending[:] = [label]
+            return cache
+        return run
+
+    conv = tensor.conv2d_batched
+
+    def conv_checking(inp, kernels):  # the input gradient, right after a take
+        for label in pending:
+            expect_dead(f"{label}, when the input gradient is computed", label)
+        pending.clear()
+        return conv(inp, kernels)
+
+    monkeypatch.setattr(tensor, "conv2d_batched", conv_checking)
+    for mode in ("stored", "reversible"):
+        desc = seg_descriptor(task=task)
+        for s in desc.stages:
+            s.blocks, s.mode = 2, mode
+        net = network.build(desc, seed=3)
+        parts = {_part_name(p): p for p in net.parts()}
+        dead.clear()
+        want = set()
+        for name, part in list(parts.items())[:-1]:  # the head's gradient is the caller's
+            if not isinstance(part, MomentumChain):
+                want.add(below(name, part))
+                continue
+            check = f"{name}'s incoming gradient, below its top block"
+
+            def at_block_0(x, train, check=check, name=name):
+                if train:  # block 0 runs f in train mode once the top block is done
+                    expect_dead(check, f"{name} in")
+            part.backward = _around(part.backward, before=record(f"{name} in"))
+            part.blocks[0].f.forward = _around(part.blocks[0].f.forward, before=at_block_0)
+            want.add(check)
+        if task == "segmentation":
+            on_first, fuse = parts["up0+fuse0"].layers[:2]
+            up, down = on_first.layers[0], parts["down0"]
+            want.add(below("up0", on_first, first=True))
+            fuse.backward = _around(fuse.backward, after=record("fuse0 out"))
+            down.backward = _around(down.backward, after=record("down0 out"))
+            up._take_cache = taking(up, "up0's upsampled input")
+            fuse._take_cache = taking(fuse, "fuse0's concatenation")
+
+            def at_enc0_top(x, train):
+                if train:
+                    expect_dead("fuse0's input gradients, at enc0's top block", "fuse0 out")
+                    ours, enc0_in = refs["down0 out"][0](), refs["enc0 in"][0]()
+                    dead["down0's result, but as enc0's incoming gradient"] = (
+                        ours is not None and ours is enc0_in)
+
+            top = parts["enc0"].blocks[-1].f
+            top.forward = _around(top.forward, before=at_enc0_top)
+            want |= {"fuse0's input gradients, at enc0's top block",
+                     "down0's result, but as enc0's incoming gradient",
+                     "up0's upsampled input, when the input gradient is computed",
+                     "fuse0's concatenation, when the input gradient is computed"}
+        batch = rng(4).normal(size=(2,) + desc.input_shape)
+        net.train_backward(np.ones_like(net.predict(batch, train=True)))
+        assert dead == dict.fromkeys(want, True), mode
 
 
 def test_reversible_head_input_is_counted_once():
