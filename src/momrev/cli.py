@@ -132,8 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_source_flags(p):
-        p.add_argument("--config", help="JSON training config")
-        p.add_argument("--preset", choices=["segmentation", "classification"])
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", help="JSON training config")
+        source.add_argument("--preset", choices=["segmentation", "classification"])
 
     def add_run_flags(p):
         add_source_flags(p)

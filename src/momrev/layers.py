@@ -62,10 +62,16 @@ class Layer:
     """Base layer: forward/backward pair with explicit caching.
 
     A train-mode forward keeps what backward needs in `_cache`: one array,
-    or a tuple whose array entries are the layer's `cached_arrays`.
+    or a tuple whose array entries are the layer's own cached arrays.
     Backward consumes the cache, so each cached array is freed as soon as
     backward has read it and nothing else holds it; a second backward
     raises instead of adding the gradients again.
+
+    A part made of other layers lists the layers it runs in `layers`, and
+    its parameters, caches and cache clearing come from here: `params`,
+    `clear_cache` and `cached_arrays` take the part's own first, then each
+    listed layer's, in order. A leaf with parameters (`Linear`, `Conv2d`)
+    returns them from its own `params`.
 
     Gradients are handed on the same way: a caller keeps no reference to a
     gradient it passes to a part's backward, moving it through a one-slot
@@ -76,9 +82,10 @@ class Layer:
     """
 
     _cache = None
+    layers = ()
 
     def params(self) -> list[Param]:
-        return []
+        return [p for layer in self.layers for p in layer.params()]
 
     def forward(self, x, train=True):
         raise NotImplementedError
@@ -88,11 +95,14 @@ class Layer:
 
     def clear_cache(self):
         self._cache = None
+        for layer in self.layers:
+            layer.clear_cache()
 
     def cached_arrays(self) -> list[np.ndarray]:
         """Arrays retained past forward for use in backward."""
         held = self._cache if isinstance(self._cache, tuple) else (self._cache,)
-        return [a for a in held if isinstance(a, np.ndarray)]
+        return [a for a in held if isinstance(a, np.ndarray)] + [
+            a for layer in self.layers for a in layer.cached_arrays()]
 
     def cache_size(self) -> int:
         """Scalars in the distinct buffers of `cached_arrays`."""
@@ -303,9 +313,6 @@ class Sequential(Layer):
     def __init__(self, layers):
         self.layers = list(layers)
 
-    def params(self):
-        return [p for layer in self.layers for p in layer.params()]
-
     def forward(self, x, train=True):
         for layer in self.layers:
             x = layer.forward(x, train=train)
@@ -317,15 +324,6 @@ class Sequential(Layer):
         for layer in reversed(self.layers):
             box.append(layer.backward(box.pop()))
         return box.pop()
-
-    def clear_cache(self):
-        super().clear_cache()
-        for layer in self.layers:
-            layer.clear_cache()
-
-    def cached_arrays(self):
-        return super().cached_arrays() + [a for layer in self.layers
-                                          for a in layer.cached_arrays()]
 
 
 class Recompute(Sequential):

@@ -113,9 +113,6 @@ class MomentumBlock:
         u *= self.gamma
         return gx, u
 
-    def params(self):
-        return self.f.params()
-
 
 class MomentumChain(Layer):
     """A stack of momentum blocks over one shared state shape, started
@@ -132,17 +129,16 @@ class MomentumChain(Layer):
     block below inverts too, so block 0 never rebuilds v_0. Every held
     state is freed once the block that reads it is done.
     `f_transient_peak` is the largest cache one f held during the last
-    backward.
+    backward. The residual functions are the chain's `layers`, so its
+    parameters, cache clearing and `cached_arrays` walk them too.
     """
 
     def __init__(self, blocks: list[MomentumBlock], mode: str = STORED):
         check_stage(len(blocks), [b.gamma for b in blocks], mode)
         self.blocks = list(blocks)
+        self.layers = [b.f for b in self.blocks]
         self.mode = mode
         self.f_transient_peak = 0
-
-    def params(self):
-        return [p for b in self.blocks for p in b.params()]
 
     def forward(self, x0: np.ndarray, train: bool = True) -> np.ndarray:
         hold = train and self.mode == STORED
@@ -172,11 +168,6 @@ class MomentumChain(Layer):
             gx, gv = block.backward_step(gx, gv)
         self.f_transient_peak = peak
         return gx
-
-    def clear_cache(self):
-        super().clear_cache()
-        for block in self.blocks:
-            block.f.clear_cache()
 
 
 def build_chain(channels: int, depth: int, gamma: float, mode: str, rng,

@@ -127,11 +127,11 @@ class NetworkDescriptor:
 class MemoryLedger:
     """Activation-memory tally by part type, in scalars of distinct buffers.
 
-    `chain_states` counts the chains' caches, `transitions` every other
-    part's. A buffer that is both a chain state and a layer's cached input
-    counts in both categories but once in `total`, so total <=
-    chain_states + transitions. The transient peak is tracked apart from
-    the total.
+    `chain_states` counts the chains' caches, their residual functions'
+    included, `transitions` every other part's. A buffer that is both a
+    chain state and a layer's cached input counts in both categories but
+    once in `total`, so total <= chain_states + transitions. The
+    transient peak is tracked apart from the total.
     """
 
     chain_states: int
@@ -178,6 +178,14 @@ def transition(layers, *stages):
     the batch or arrays the chains hold anyway; next to a stored chain a
     `Sequential` that keeps its own caches."""
     return (Recompute if all(s.mode == REVERSIBLE for s in stages) else Sequential)(layers)
+
+
+def stem(descriptor, rng, dtype) -> Layer:
+    """Either network's first part and first draw from `rng`: conv3x3 +
+    ReLU from the input channels to the first stage's width."""
+    s = descriptor.stages[0]
+    return transition([Conv2d(descriptor.input_shape[0], s.width, 3, rng=rng, init="he",
+                              dtype=dtype, name="stem.conv"), ReLU()], s)
 
 
 def _expand(layers) -> list[Layer]:
@@ -246,10 +254,8 @@ class ClassifierNet(Network):
 
     def __init__(self, descriptor, rng, dtype=np.float64):
         super().__init__(descriptor)
-        c_in = descriptor.input_shape[0]
         stages = descriptor.stages
-        parts = [transition([Conv2d(c_in, stages[0].width, 3, rng=rng, init="he",
-                                    dtype=dtype, name="stem.conv"), ReLU()], stages[0])]
+        parts = [stem(descriptor, rng, dtype)]
         for i, s in enumerate(stages):
             parts.append(
                 build_chain(s.width, s.blocks, s.gamma, s.mode, rng, dtype, f"enc{i}"))
@@ -272,7 +278,6 @@ class SegmenterNet(Network):
 
     def __init__(self, descriptor, rng, dtype=np.float64):
         super().__init__(descriptor)
-        c_in = descriptor.input_shape[0]
         stages = descriptor.stages
 
         def level(i):
@@ -295,8 +300,7 @@ class SegmenterNet(Network):
             return UNetLevel([enc, down, inner, up, dec])
 
         self.body = Sequential(
-            [transition([Conv2d(c_in, stages[0].width, 3, rng=rng, init="he",
-                                dtype=dtype, name="stem.conv"), ReLU()], stages[0]),
+            [stem(descriptor, rng, dtype),
              level(0),
              Conv2d(stages[0].width, 1, 1, rng=rng, init="xavier", dtype=dtype,
                     name="head.conv")])

@@ -197,6 +197,20 @@ def test_missing_config_and_preset_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["train"], ["eval", "--checkpoint", "ck"], ["memprofile", "--depths", "1"],
+], ids=["train", "eval", "memprofile"])
+def test_config_and_preset_together_usage_error(tmp_path, capsys, argv):
+    cfg_path = tiny_seg_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--preset", "classification", "--config", str(cfg_path),
+                  "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "not allowed with argument" in err
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
 @pytest.mark.parametrize("text", [None, "{not json", '{"bogus": 1}'],
                          ids=["missing", "not-json", "unknown-field"])
 def test_unreadable_config_exit_code(tmp_path, capsys, text):

@@ -200,7 +200,7 @@ def test_block_arithmetic_matches_the_out_of_place_formulas(gamma, dtype):
             u = gx + gv
             assert same_bits(g_x, gx + f.backward((1.0 - gamma) * u))
             assert same_bits(g_v, gamma * u)
-            for p, q in zip(block.params(), f.params()):
+            for p, q in zip(block.f.params(), f.params()):
                 assert same_bits(p.grad, q.grad), p.name
         # it takes gv' over, but writes into neither its input state nor gx'
         assert all(same_bits(a, b) for a, b in zip((x, v, gx), before))

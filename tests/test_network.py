@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from momrev import network, tensor
-from momrev.errors import ConfigError, ShapeError, StateError
-from momrev.layers import Recompute, load_checkpoint, save_checkpoint
+from momrev.errors import ConfigError, NumericError, ShapeError, StateError
+from momrev.layers import Recompute, distinct_scalars, load_checkpoint, save_checkpoint
 from momrev.momentum import MomentumChain
+from momrev.train import segmentation_defaults
 from momrev.verify import fd_grad, rel_err
 from util import rng
 
@@ -266,6 +267,29 @@ def test_backward_frees_every_cache(make):
     assert net.memory_ledger().total == 0
     fs = [b.f for c in chains(net) for b in c.blocks]
     assert all(part.cache_size() == 0 for part in net.parts() + fs)
+
+
+def test_ledger_counts_what_an_aborted_backward_left_held():
+    # dec0's top block inverts first; a NaN weight makes its inverse raise
+    # after f has cached its train-mode forward, which the ledger must count
+    cfg = segmentation_defaults()
+    net = network.build(cfg.descriptor(), seed=cfg.seed, dtype=np.float32)
+    batch = rng(20).normal(size=(2, 1, 32, 32)).astype(np.float32)
+    logits = net.predict(batch, train=True)
+    dec0 = next(c for c in chains(net) if _part_name(c) == "dec0")
+    f = dec0.blocks[1].f
+    w = f.layers[0].w.value
+    saved = w.copy()
+    w[...] = np.nan
+    with pytest.raises(NumericError):
+        net.train_backward(np.ones_like(logits))
+    fs = [b.f for c in chains(net) for b in c.blocks]
+    held = [a for layer in net.parts() + fs for a in layer.cached_arrays()]
+    assert f.cache_size() > 0
+    assert net.memory_ledger().total == distinct_scalars(held)
+    w[...] = saved
+    net.predict(batch)
+    assert all(layer.cache_size() == 0 for layer in net.parts() + fs)
 
 
 def _part_name(part):
